@@ -43,6 +43,11 @@ class BayesianGameSpec:
         for profile, prob in self.prior.items():
             if len(profile) != len(self.players):
                 raise ValidationError(f"type profile {profile!r} has wrong arity")
+            for p, t in zip(self.players, profile):
+                if t not in self.types[p]:
+                    raise ValidationError(
+                        f"type profile {profile!r} names undeclared type {t!r} of player {p!r}"
+                    )
             if prob < 0 or not math.isfinite(prob):
                 raise ValidationError(f"prior[{profile!r}] must be a finite non-negative number")
             total += prob
@@ -147,34 +152,76 @@ def find_bne(spec: BayesianGameSpec, budget=DEFAULT_BUDGET):
     if required > budget:
         raise EnumerationBudgetExceeded(required, budget)
 
-    per_player = []
-    for p in spec.players:
-        ts = spec.types[p]
-        maps = [dict(zip(ts, combo)) for combo in itertools.product(spec.actions[p], repeat=len(ts))]
-        per_player.append(maps)
-
-    live_types = {
-        p: [t for t in spec.types[p] if spec.marginal(p, t) > 0] for p in spec.players
-    }
+    # A player's pure strategy is a tuple of action indices, one per type.
+    per_player = [
+        list(itertools.product(range(len(spec.actions[p])), repeat=len(spec.types[p])))
+        for p in spec.players
+    ]
+    checks = _interim_tables(spec)
 
     results = []
     for combo in itertools.product(*per_player):
-        strategy = {p: dict(tmap) for p, tmap in zip(spec.players, combo)}
-        if _is_bne(spec, strategy, live_types):
-            results.append(BayesianStrategy.from_dict(strategy))
+        if _is_bne(checks, combo):
+            results.append(
+                BayesianStrategy.from_dict(
+                    {
+                        p: dict(zip(spec.types[p], (spec.actions[p][a] for a in choice)))
+                        for p, choice in zip(spec.players, combo)
+                    }
+                )
+            )
     return results
 
 
-def _is_bne(spec, strategy, live_types):
-    for p in spec.players:
-        for t in live_types[p]:
-            base = bayes_expected_utility(spec, strategy, p, t)
-            current = strategy[p][t]
-            for alt in spec.actions[p]:
-                if alt == current:
-                    continue
-                trial = {q: dict(m) for q, m in strategy.items()}
-                trial[p][t] = alt
-                if bayes_expected_utility(spec, trial, p, t) > base + EQ_TOL:
-                    return False
+def _interim_tables(spec):
+    """One deviation check per (player, positive-marginal type):
+    ``(player index, type index, action stride, action count, entries)``.
+
+    `entries` lists ``(prob, utilities, others)`` in the order in which
+    `bayes_expected_utility` visits the conditional belief. `utilities` holds
+    the player's payoff at that type profile for every action profile, in
+    `action_profiles()` order; `others` gives each opponent's ``(player index,
+    type index, stride)`` there, so an action profile's position is a sum of
+    action index times stride. Summing ``prob * utility`` over the entries in
+    this order repeats `bayes_expected_utility` float for float.
+    """
+    players = spec.players
+    n_actions = [len(spec.actions[p]) for p in players]
+    strides = [math.prod(n_actions[i + 1 :]) for i in range(len(players))]
+    type_index = [{t: k for k, t in enumerate(spec.types[p])} for p in players]
+    aprofs = list(spec.action_profiles())
+    checks = []
+    for i, p in enumerate(players):
+        for t in spec.types[p]:
+            if spec.marginal(p, t) <= 0:
+                continue
+            entries = []
+            for rest, prob in spec.conditional(p, t).items():
+                tprof = rest[:i] + (t,) + rest[i:]
+                utilities = [spec.utilities[p][(aprof, tprof)] for aprof in aprofs]
+                others = tuple(
+                    (j, type_index[j][tprof[j]], strides[j])
+                    for j in range(len(players))
+                    if j != i
+                )
+                entries.append((prob, utilities, others))
+            checks.append((i, type_index[i][t], strides[i], n_actions[i], entries))
+    return checks
+
+
+def _is_bne(checks, combo):
+    """True when no checked type of any player gains more than EQ_TOL by
+    switching its action, the others held at `combo`."""
+    for i, k, stride, n_alt, entries in checks:
+        values = [0.0] * n_alt
+        for prob, utilities, others in entries:
+            pos = 0
+            for j, tj, sj in others:
+                pos += combo[j][tj] * sj
+            for a in range(n_alt):
+                values[a] += prob * utilities[pos + a * stride]
+        bar = values[combo[i][k]] + EQ_TOL
+        for v in values:
+            if v > bar:
+                return False
     return True

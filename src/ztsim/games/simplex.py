@@ -26,35 +26,37 @@ class UnboundedLP(ZtsimError):
 
 def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
-    for i in range(T.shape[0]):
-        if i != row and abs(T[i, col]) > 0.0:
-            T[i] -= T[i, col] * T[row]
+    # One rank-1 update of every other row with a nonzero entry in `col`;
+    # rows with an exact zero there are left untouched, as a row-by-row
+    # elimination would, so signed zeros survive.
+    f = T[:, col]
+    nz = np.abs(f) > 0.0
+    nz[row] = False
+    T[nz] -= f[nz][:, None] * T[row]
     basis[row] = col
 
 
 def _run(T, basis, obj, allowed):
     """Drive the tableau to optimality for the cost vector `obj`, entering
     only columns < `allowed`. Returns the objective value."""
-    m = T.shape[0]
+    costs = obj[:allowed]
     while True:
-        cb = np.array([obj[b] for b in basis])
-        reduced = obj[:allowed] - cb @ T[:, :allowed]
-        enter = -1
-        for j in range(allowed):
-            if reduced[j] < -TOL and j not in basis:
-                enter = j
-                break
-        if enter < 0:
-            return float(sum(obj[basis[i]] * T[i, -1] for i in range(m)))
-        candidates = [
-            (T[i, -1] / T[i, enter], basis[i], i)
-            for i in range(m)
-            if T[i, enter] > TOL
-        ]
-        if not candidates:
+        cb = obj[basis]
+        reduced = costs - cb @ T[:, :allowed]
+        eligible = reduced < -TOL
+        eligible[basis[basis < allowed]] = False
+        enter = int(eligible.argmax())
+        if not eligible[enter]:
+            return float(sum(cb * T[:, -1]))
+        col = T[:, enter]
+        rows = (col > TOL).nonzero()[0]
+        if rows.size == 0:
             raise UnboundedLP("unbounded linear program")
-        _, _, leave = min(candidates)
-        _pivot(T, basis, leave, enter)
+        ratios = T[rows, -1] / col[rows]
+        # Bland's tie-break: among equal minimum ratios, the smallest basis index.
+        tied = rows[ratios == ratios.min()]
+        leave = tied[0] if tied.size == 1 else min(tied, key=basis.__getitem__)
+        _pivot(T, basis, int(leave), enter)
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -90,7 +92,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     T[:, :ntot] = A
     T[:, ntot : ntot + m] = np.eye(m)
     T[:, -1] = b
-    basis = list(range(ntot, ntot + m))
+    basis = np.arange(ntot, ntot + m)
     phase1 = np.zeros(ntot + m + 1)
     phase1[ntot : ntot + m] = 1.0
     if _run(T, basis, phase1, ntot + m) > 1e-7:
@@ -99,9 +101,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     # it is impossible are redundant and stay pinned at zero.
     for i in range(m):
         if basis[i] >= ntot:
-            col = next((j for j in range(ntot) if abs(T[i, j]) > TOL), None)
-            if col is not None:
-                _pivot(T, basis, i, col)
+            cols = np.flatnonzero(np.abs(T[i, :ntot]) > TOL)
+            if cols.size:
+                _pivot(T, basis, i, int(cols[0]))
 
     phase2 = np.zeros(ntot + m + 1)
     phase2[:n] = c

@@ -8,7 +8,7 @@ import yaml
 
 from .errors import ScenarioFormatError
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
-from .scenario import SCHEMA_VERSION, _load_yaml, _require
+from .scenario import SCHEMA_VERSION, _load_yaml, _require, _section
 
 GAME_KINDS = ("matrix_game", "bimatrix_game", "bayesian_game", "signaling_game")
 
@@ -32,7 +32,8 @@ def parse_game(text):
         "bayesian_game": _parse_bayesian,
         "signaling_game": _parse_signaling,
     }[kind]
-    return parser(body)
+    with _section(kind):
+        return parser(body)
 
 
 def _labeled_matrix(body, section, key, rows, cols):

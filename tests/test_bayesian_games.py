@@ -1,9 +1,16 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bne_reference import random_bayesian_game, reference_pure_bne
 from ztsim.errors import EnumerationBudgetExceeded, UnreachableType, ValidationError
 from ztsim.games import BayesianGameSpec, BayesianStrategy, bayes_expected_utility, find_bne
+from ztsim.games import bayesian
+from ztsim.games.bayesian import strategy_space_size
 
 
 def two_type_matching_game():
@@ -130,6 +137,17 @@ def test_prior_must_sum_to_one():
         )
 
 
+def test_prior_types_must_be_declared():
+    with pytest.raises(ValidationError, match="undeclared type 'typo'"):
+        BayesianGameSpec(
+            ("p1",),
+            {"p1": ("a",)},
+            {"p1": ("x",)},
+            {("a",): 0.5, ("typo",): 0.5},
+            {"p1": {(("x",), ("a",)): 0.0}},
+        )
+
+
 def test_utility_table_must_be_total():
     with pytest.raises(ValidationError):
         BayesianGameSpec(
@@ -152,3 +170,98 @@ def test_find_bne_matches_reference_on_random_games():
 def test_find_bne_deterministic():
     spec = two_type_matching_game()
     assert find_bne(spec) == find_bne(spec)
+
+
+def deviation_find_bne(spec):
+    """`find_bne` as a loop of `bayes_expected_utility` calls over deep-copied
+    deviation profiles: the formulation the interim tables must reproduce,
+    equilibrium for equilibrium and in the same order."""
+    per_player = []
+    for p in spec.players:
+        ts = spec.types[p]
+        per_player.append(
+            [dict(zip(ts, combo)) for combo in itertools.product(spec.actions[p], repeat=len(ts))]
+        )
+    live_types = {
+        p: [t for t in spec.types[p] if spec.marginal(p, t) > 0] for p in spec.players
+    }
+
+    def is_bne(strategy):
+        for p in spec.players:
+            for t in live_types[p]:
+                base = bayes_expected_utility(spec, strategy, p, t)
+                for alt in spec.actions[p]:
+                    if alt == strategy[p][t]:
+                        continue
+                    trial = {q: dict(m) for q, m in strategy.items()}
+                    trial[p][t] = alt
+                    if bayes_expected_utility(spec, trial, p, t) > base + bayesian.EQ_TOL:
+                        return False
+        return True
+
+    results = []
+    for combo in itertools.product(*per_player):
+        strategy = {p: dict(m) for p, m in zip(spec.players, combo)}
+        if is_bne(strategy):
+            results.append(BayesianStrategy.from_dict(strategy))
+    return results
+
+
+@st.composite
+def correlated_bayesian_games(draw):
+    """Games with a correlated joint prior, often with zero-probability type
+    profiles and zero-marginal types, and payoffs that tie often."""
+    n_players = draw(st.integers(1, 3))
+    players = tuple(f"p{i}" for i in range(n_players))
+    types = {p: tuple(f"t{j}" for j in range(draw(st.integers(1, 3)))) for p in players}
+    actions = {p: tuple(f"a{j}" for j in range(draw(st.integers(1, 3)))) for p in players}
+    tprofiles = list(itertools.product(*(types[p] for p in players)))
+    weights = [draw(st.sampled_from([0, 0, 1, 2, 3, 7])) for _ in tprofiles]
+    assume(sum(weights) > 0)
+    total = sum(weights)
+    prior = {prof: w / total for prof, w in zip(tprofiles, weights)}
+    assume(abs(sum(prior.values()) - 1.0) <= 1e-9)
+    payoff = draw(st.sampled_from([st.integers(-2, 2).map(float), st.floats(-3, 3)]))
+    utilities = {p: {} for p in players}
+    for aprof in itertools.product(*(actions[p] for p in players)):
+        for tprof in tprofiles:
+            for p in players:
+                utilities[p][(aprof, tprof)] = draw(payoff)
+    spec = BayesianGameSpec(players, types, actions, prior, utilities)
+    assume(strategy_space_size(spec) <= 729)
+    return spec
+
+
+# With a zero tolerance, exact ties between deviations decide the result, so
+# any last-bit difference in an interim payoff would change the equilibria.
+@pytest.mark.parametrize("tol", [bayesian.EQ_TOL, 0.0], ids=["eq_tol", "zero_tol"])
+@settings(max_examples=150, deadline=None)
+@given(spec=correlated_bayesian_games())
+def test_find_bne_matches_deviation_loop(tol, spec):
+    with mock.patch.object(bayesian, "EQ_TOL", tol):
+        assert find_bne(spec) == deviation_find_bne(spec)
+
+
+def test_find_bne_breaks_exact_ties_in_belief_order():
+    """`up` and `down` earn the same three products, summed in opposite orders,
+    so their interim payoffs differ in the last bit. With a zero tolerance,
+    only summing in `bayes_expected_utility`'s order picks the same single
+    equilibrium."""
+    types = {"row": ("r",), "nature": ("t0", "t1", "t2")}
+    actions = {"row": ("up", "down"), "nature": ("n",)}
+    prior = {("r", t): 1 / 3 for t in types["nature"]}
+    payoff = {"up": (0.1, 0.2, 0.3), "down": (0.3, 0.2, 0.1)}
+    utilities = {"row": {}, "nature": {}}
+    for a, row in payoff.items():
+        for t, u in zip(types["nature"], row):
+            utilities["row"][((a, "n"), ("r", t))] = u
+            utilities["nature"][((a, "n"), ("r", t))] = 0.0
+    spec = BayesianGameSpec(("row", "nature"), types, actions, prior, utilities)
+    nature = {"nature": {t: "n" for t in types["nature"]}}
+    up = bayes_expected_utility(spec, {"row": {"r": "up"}, **nature}, "row", "r")
+    down = bayes_expected_utility(spec, {"row": {"r": "down"}, **nature}, "row", "r")
+    assert up != down
+    with mock.patch.object(bayesian, "EQ_TOL", 0.0):
+        got = find_bne(spec)
+        assert got == deviation_find_bne(spec)
+    assert len(got) == 1

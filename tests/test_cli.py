@@ -14,6 +14,27 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def test_solve_non_numeric_payoff_exit_one(game_specs_dir, tmp_path, capsys):
+    text = (game_specs_dir / "rock_paper_scissors.yaml").read_text()
+    for cell in ("abc", "[1, 2]"):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text.replace("rock: {rock: 0,", f"rock: {{rock: {cell},", 1))
+        code, out, err = run_cli(["solve", "--game", str(path)], capsys)
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert err.startswith("error: [matrix_game]")
+
+
+def test_run_non_numeric_prior_weight_exit_one(scenarios_dir, tmp_path, capsys):
+    text = (scenarios_dir / "apt_stealth.yaml").read_text()
+    assert "weight: 2.0" in text
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace("weight: 2.0", "weight: abc", 1))
+    code, _, err = run_cli(["run", "--scenario", str(path)], capsys)
+    assert code == EXIT_VALIDATION
+    assert err.startswith("error: [entities[")
+
+
 def test_run_twice_byte_identical(scenarios_dir, tmp_path, capsys):
     scenario = str(scenarios_dir / "apt_stealth.yaml")
     outs = []

@@ -1,12 +1,14 @@
 import io
 import json
+import pathlib
 
 import pytest
+import yaml
 
 from ztsim.errors import ScenarioFormatError, TraceWriteError
 from ztsim.games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from ztsim.gamespec import load_game, parse_game, serialize_game
-from ztsim.scenario import load_scenario, parse_scenario, serialize_scenario
+from ztsim.scenario import _load_yaml, load_scenario, parse_scenario, serialize_scenario
 from ztsim.sim import run
 from ztsim.trace import emit_trace, metrics_to_dict, step_record_to_dict
 
@@ -32,6 +34,11 @@ policy:
   grant_threshold: 0.8
   deny_threshold: 0.2
 """
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+SHIPPED_SCENARIOS = sorted((REPO_ROOT / "scenarios").glob("*.yaml"))
+SHIPPED_GAMES = sorted((REPO_ROOT / "game_specs").glob("*.yaml"))
 
 
 def test_parse_minimal_applies_defaults():
@@ -187,3 +194,82 @@ def test_metrics_to_dict_shape(scenarios_dir):
     assert entry["time_to_detection"] == 1
     assert entry["false_lockout"] is False
     assert entry["final_score"] == pytest.approx(0.005 / 0.505, abs=1e-6)
+
+
+@pytest.mark.parametrize("path", SHIPPED_SCENARIOS + SHIPPED_GAMES, ids=lambda p: p.name)
+def test_chosen_loader_builds_the_pure_python_documents(path):
+    text = path.read_text(encoding="utf-8")
+    reference = yaml.load(text, Loader=yaml.SafeLoader)
+    doc = _load_yaml(text, path.stem)
+    assert doc == reference
+    assert repr(doc) == repr(reference)
+
+
+def _spy_on_loaders(monkeypatch):
+    used = []
+    load = yaml.load
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    return used
+
+
+def test_libyaml_loader_used_when_available(monkeypatch):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    used = _spy_on_loaders(monkeypatch)
+    parse_scenario(MINIMAL)
+    assert used == [yaml.CSafeLoader]
+
+
+def test_pure_python_fallback_parses_shipped_files(monkeypatch):
+    scenarios = [load_scenario(p) for p in SHIPPED_SCENARIOS]
+    games = [load_game(p) for p in SHIPPED_GAMES]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    used = _spy_on_loaders(monkeypatch)
+    assert [load_scenario(p) for p in SHIPPED_SCENARIOS] == scenarios
+    assert [load_game(p) for p in SHIPPED_GAMES] == games
+    assert set(used) == {yaml.SafeLoader}
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["chosen", "fallback"])
+@pytest.mark.parametrize("parse", [parse_scenario, parse_game])
+def test_malformed_yaml_is_a_format_error(monkeypatch, fallback, parse):
+    if fallback:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse("schema_version: 1\nkey: [unclosed\n")
+    assert "not valid YAML" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "cell, cause", [("abc", ValueError), ("[1, 2]", TypeError)], ids=["string", "list"]
+)
+def test_non_numeric_payoff_cell_is_a_format_error(game_specs_dir, cell, cause):
+    text = (game_specs_dir / "rock_paper_scissors.yaml").read_text()
+    text = text.replace("rock: {rock: 0,", f"rock: {{rock: {cell},", 1)
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_game(text)
+    assert info.value.section == "matrix_game"
+    assert isinstance(info.value.__cause__, cause)
+
+
+@pytest.mark.parametrize(
+    "old, new, section",
+    [
+        (
+            "    profile: default",
+            "    profile: default\n    prior: [{score: 0.5, weight: abc}]",
+            "entities[0]",
+        ),
+        ("good: {act: 1.0}", "good: {act: abc}", "profiles.default"),
+    ],
+    ids=["prior-weight", "behavior-probability"],
+)
+def test_non_numeric_scenario_value_is_a_format_error(old, new, section):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(MINIMAL.replace(old, new, 1))
+    assert info.value.section == section
