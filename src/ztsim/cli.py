@@ -59,12 +59,7 @@ def _write_trace(records, out_path):
 
 
 def cmd_run(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    scenario = load_scenario(args.scenario)
     if args.seeds is not None:
         try:
             seeds = list(_parse_seeds(args.seeds))
@@ -151,11 +146,7 @@ def _solve_records(game, mode, off_path):
 
 
 def cmd_solve(args) -> int:
-    try:
-        game = load_game(args.game)
-    except ScenarioFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    game = load_game(args.game)
     try:
         records = list(_solve_records(game, args.mode, args.off_path))
     except EnumerationBudgetExceeded as exc:
@@ -193,7 +184,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ScenarioFormatError as exc:  # raised only while loading the document
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

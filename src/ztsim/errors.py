@@ -1,4 +1,5 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the bool check every
+model applies to the numbers it takes from documents."""
 
 
 class ZtsimError(Exception):
@@ -6,7 +7,21 @@ class ZtsimError(Exception):
 
 
 class ValidationError(ZtsimError):
-    """A value or model failed a structural check at construction or call time."""
+    """A value or model failed a structural check at construction or call time;
+    `key` is the dotted path of the failing value, "-" when there is none."""
+
+    def __init__(self, reason, key="-"):
+        self.key = key
+        self.reason = reason
+        super().__init__(reason if key == "-" else f"{key}: {reason}")
+
+
+def reject_bool(value, key):
+    """Return `value` unless it is a bool: YAML reads true/false as bools,
+    which Python would silently take as the numbers 1 and 0."""
+    if isinstance(value, bool):
+        raise ValidationError(f"expected a number, got {value!r}", key)
+    return value
 
 
 class ZeroProbabilityObservation(ZtsimError):
@@ -33,7 +48,7 @@ class ZeroProbabilityObservation(ZtsimError):
         )
 
 
-class NoPriorSources(ZtsimError):
+class NoPriorSources(ValidationError):
     """Prior composition was given no usable sources."""
 
 
@@ -61,7 +76,7 @@ class ScenarioFormatError(ValidationError):
         self.section = section
         self.key = key
         self.reason = reason
-        super().__init__(f"[{section}] {key}: {reason}")
+        ZtsimError.__init__(self, f"[{section}] {key}: {reason}")
 
 
 class TraceWriteError(ZtsimError):

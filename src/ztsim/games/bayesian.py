@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError
+from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError, reject_bool
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -28,39 +28,40 @@ class BayesianGameSpec:
         object.__setattr__(self, "players", tuple(self.players))
         object.__setattr__(self, "types", {p: tuple(v) for p, v in self.types.items()})
         object.__setattr__(self, "actions", {p: tuple(v) for p, v in self.actions.items()})
-        object.__setattr__(self, "prior", dict(self.prior))
-        object.__setattr__(
-            self, "utilities", {p: dict(v) for p, v in self.utilities.items()}
-        )
+        prior = {k: float(reject_bool(v, "prior")) for k, v in self.prior.items()}
+        utilities = {
+            p: {k: float(reject_bool(u, f"utilities.{p}")) for k, u in v.items()}
+            for p, v in self.utilities.items()
+        }
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "utilities", utilities)
         if not self.players:
-            raise ValidationError("at least one player required")
+            raise ValidationError("at least one player required", "players")
         for p in self.players:
             if not self.types.get(p):
-                raise ValidationError(f"player {p!r} has no types")
+                raise ValidationError(f"player {p!r} has no types", f"types.{p}")
             if not self.actions.get(p):
-                raise ValidationError(f"player {p!r} has no actions")
+                raise ValidationError(f"player {p!r} has no actions", f"actions.{p}")
         total = 0.0
         for profile, prob in self.prior.items():
             if len(profile) != len(self.players):
-                raise ValidationError(f"type profile {profile!r} has wrong arity")
+                raise ValidationError(f"type profile {profile!r} has wrong arity", "prior")
             for p, t in zip(self.players, profile):
                 if t not in self.types[p]:
                     raise ValidationError(
-                        f"type profile {profile!r} names undeclared type {t!r} of player {p!r}"
+                        f"type profile {profile!r} names undeclared type {t!r} of player {p!r}",
+                        "prior",
                     )
             if prob < 0 or not math.isfinite(prob):
-                raise ValidationError(f"prior[{profile!r}] must be a finite non-negative number")
+                raise ValidationError(f"{profile!r} must have a finite probability >= 0", "prior")
             total += prob
         if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"joint type prior sums to {total}, expected 1")
+            raise ValidationError(f"joint type prior sums to {total}, expected 1", "prior")
         for aprof in self.action_profiles():
             for tprof in self.type_profiles():
                 for p in self.players:
                     if (aprof, tprof) not in self.utilities.get(p, {}):
-                        raise ValidationError(
-                            f"utility table for player {p!r} missing entry "
-                            f"(actions={aprof!r}, types={tprof!r})"
-                        )
+                        raise ValidationError(f"missing entry {(aprof, tprof)!r}", f"utilities.{p}")
 
     def type_profiles(self):
         return itertools.product(*(self.types[p] for p in self.players))

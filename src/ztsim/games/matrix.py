@@ -1,6 +1,6 @@
 """Two-player zero-sum matrix games: exact minimax via linear programming,
-support enumeration as a reference method for tiny games, classical fictitious
-play with value bounds, and alternating pure best-response dynamics.
+classical fictitious play with value bounds, and alternating pure
+best-response dynamics.
 """
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ValidationError
+from ..errors import ValidationError, reject_bool
 from .simplex import solve_lp
 
 CHECK_TOL = 1e-9
@@ -17,6 +17,33 @@ CHECK_TOL = 1e-9
 
 def _default_labels(prefix, n):
     return tuple(f"{prefix}{i}" for i in range(n))
+
+
+def _check_matrices(game, *names):
+    """Normalise the payoff matrices `names` of `game` in place: float rows,
+    at least 1x1, all of one rectangular shape, finite non-bool entries. Then
+    default the row and column labels and check one label per row and column."""
+    shape = None
+    for name in names:
+        rows = tuple(
+            tuple(float(reject_bool(v, name)) for v in row) for row in getattr(game, name)
+        )
+        if not rows or not rows[0]:
+            raise ValidationError("payoff matrix must be at least 1x1", name)
+        if len({len(r) for r in rows}) != 1:
+            raise ValidationError("payoff rows must have equal length", name)
+        if shape not in (None, (len(rows), len(rows[0]))):
+            raise ValidationError(f"shape must match {names[0]}", name)
+        shape = (len(rows), len(rows[0]))
+        bad = [v for row in rows for v in row if not math.isfinite(v)]
+        if bad:
+            raise ValidationError(f"payoff entries must be finite, got {bad[0]}", name)
+        object.__setattr__(game, name, rows)
+    for name, prefix, n in (("row_labels", "r", shape[0]), ("col_labels", "c", shape[1])):
+        labels = tuple(getattr(game, name)) or _default_labels(prefix, n)
+        if len(labels) != n:
+            raise ValidationError("label lengths must match matrix dimensions", name)
+        object.__setattr__(game, name, labels)
 
 
 @dataclass(frozen=True)
@@ -28,24 +55,7 @@ class MatrixGame:
     col_labels: tuple = ()
 
     def __post_init__(self):
-        rows = tuple(tuple(float(v) for v in row) for row in self.payoff)
-        if not rows or not rows[0]:
-            raise ValidationError("payoff matrix must be at least 1x1")
-        if len({len(r) for r in rows}) != 1:
-            raise ValidationError("payoff rows must have equal length")
-        for row in rows:
-            for v in row:
-                if not math.isfinite(v):
-                    raise ValidationError(f"payoff entries must be finite, got {v}")
-        object.__setattr__(self, "payoff", rows)
-        object.__setattr__(
-            self, "row_labels", tuple(self.row_labels) or _default_labels("r", len(rows))
-        )
-        object.__setattr__(
-            self, "col_labels", tuple(self.col_labels) or _default_labels("c", len(rows[0]))
-        )
-        if len(self.row_labels) != len(rows) or len(self.col_labels) != len(rows[0]):
-            raise ValidationError("label lengths must match matrix dimensions")
+        _check_matrices(self, "payoff")
 
     @property
     def matrix(self):
@@ -102,58 +112,6 @@ def solve_zero_sum(game: MatrixGame) -> ZeroSumSolution:
         row_strategy=MixedStrategy(tuple(x)),
         col_strategy=MixedStrategy(tuple(y)),
     )
-
-
-def support_enumeration(game: MatrixGame, tol=1e-8) -> ZeroSumSolution:
-    """Reference solver for games up to 4x4: enumerate equal-size supports and
-    solve the indifference equations directly."""
-    A = game.matrix
-    n_rows, n_cols = A.shape
-    if n_rows > 4 or n_cols > 4:
-        raise ValidationError("support enumeration is limited to 4x4 games")
-    from itertools import combinations
-
-    for k in range(1, min(n_rows, n_cols) + 1):
-        for I in combinations(range(n_rows), k):
-            for J in combinations(range(n_cols), k):
-                sub = A[np.ix_(I, J)]
-                # Solve [sub' x = v, sum x = 1] and [sub y = v, sum y = 1].
-                M = np.zeros((k + 1, k + 1))
-                M[:k, :k] = sub.T
-                M[:k, k] = -1.0
-                M[k, :k] = 1.0
-                rhs = np.zeros(k + 1)
-                rhs[k] = 1.0
-                try:
-                    solx = np.linalg.solve(M, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                M2 = np.zeros((k + 1, k + 1))
-                M2[:k, :k] = sub
-                M2[:k, k] = -1.0
-                M2[k, :k] = 1.0
-                try:
-                    soly = np.linalg.solve(M2, rhs)
-                except np.linalg.LinAlgError:
-                    continue
-                xs, v = solx[:k], solx[k]
-                ys, v2 = soly[:k], soly[k]
-                if abs(v - v2) > tol:
-                    continue
-                if (xs < -tol).any() or (ys < -tol).any():
-                    continue
-                x = np.zeros(n_rows)
-                y = np.zeros(n_cols)
-                x[list(I)] = np.clip(xs, 0.0, None)
-                y[list(J)] = np.clip(ys, 0.0, None)
-                x /= x.sum()
-                y /= y.sum()
-                if (x @ A).min() < v - tol or (A @ y).max() > v + tol:
-                    continue
-                return ZeroSumSolution(
-                    float(v), MixedStrategy(tuple(x)), MixedStrategy(tuple(y))
-                )
-    raise ValidationError("no equilibrium support found (should be impossible)")
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from ..errors import EnumerationBudgetExceeded, ValidationError
+from ..errors import EnumerationBudgetExceeded, ValidationError, reject_bool
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -29,31 +29,27 @@ class SignalingGameSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "types", tuple(self.types))
-        object.__setattr__(self, "prior", dict(self.prior))
         object.__setattr__(self, "signals", tuple(self.signals))
         object.__setattr__(self, "receiver_actions", tuple(self.receiver_actions))
-        object.__setattr__(self, "sender_utility", dict(self.sender_utility))
-        object.__setattr__(self, "receiver_utility", dict(self.receiver_utility))
+        for name in ("prior", "sender_utility", "receiver_utility"):
+            table = {k: float(reject_bool(v, name)) for k, v in getattr(self, name).items()}
+            object.__setattr__(self, name, table)
         if not self.types or not self.signals or not self.receiver_actions:
             raise ValidationError("types, signals, and receiver actions must be non-empty")
         total = sum(self.prior.get(t, 0.0) for t in self.types)
         if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"sender type prior sums to {total}, expected 1")
+            raise ValidationError(f"sender type prior sums to {total}, expected 1", "prior")
         for t in self.types:
             if self.prior.get(t, 0.0) < 0:
-                raise ValidationError(f"prior[{t!r}] must be non-negative")
+                raise ValidationError("must be non-negative", f"prior.{t}")
             for s in self.signals:
                 for a in self.receiver_actions:
                     if (t, s, a) not in self.sender_utility:
-                        raise ValidationError(
-                            f"sender utility missing (type={t!r}, signal={s!r}, action={a!r})"
-                        )
+                        raise ValidationError("missing entry", f"sender_utility.{t}.{s}.{a}")
         for a in self.receiver_actions:
             for t in self.types:
                 if (a, t) not in self.receiver_utility:
-                    raise ValidationError(
-                        f"receiver utility missing (action={a!r}, type={t!r})"
-                    )
+                    raise ValidationError("missing entry", f"receiver_utility.{a}.{t}")
 
 
 @dataclass(frozen=True)

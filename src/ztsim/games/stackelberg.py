@@ -3,13 +3,12 @@ the strong Stackelberg equilibrium via one linear program per follower action.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ValidationError, ZtsimError
-from .matrix import MixedStrategy, _default_labels
+from .matrix import MixedStrategy, _check_matrices
 from .simplex import InfeasibleLP, solve_lp
 
 EQ_TOL = 1e-9
@@ -23,29 +22,7 @@ class BimatrixGame:
     col_labels: tuple = ()
 
     def __post_init__(self):
-        L = tuple(tuple(float(v) for v in row) for row in self.leader_payoff)
-        F = tuple(tuple(float(v) for v in row) for row in self.follower_payoff)
-        if not L or not L[0]:
-            raise ValidationError("payoff matrices must be at least 1x1")
-        if len(L) != len(F) or any(len(a) != len(b) for a, b in zip(L, F)):
-            raise ValidationError("leader and follower matrices must have matching shapes")
-        if len({len(r) for r in L}) != 1 or len({len(r) for r in F}) != 1:
-            raise ValidationError("payoff rows must have equal length")
-        for M in (L, F):
-            for row in M:
-                for v in row:
-                    if not math.isfinite(v):
-                        raise ValidationError(f"payoff entries must be finite, got {v}")
-        object.__setattr__(self, "leader_payoff", L)
-        object.__setattr__(self, "follower_payoff", F)
-        object.__setattr__(
-            self, "row_labels", tuple(self.row_labels) or _default_labels("r", len(L))
-        )
-        object.__setattr__(
-            self, "col_labels", tuple(self.col_labels) or _default_labels("c", len(L[0]))
-        )
-        if len(self.row_labels) != len(L) or len(self.col_labels) != len(L[0]):
-            raise ValidationError("label lengths must match matrix dimensions")
+        _check_matrices(self, "leader_payoff", "follower_payoff")
 
     @property
     def shape(self):

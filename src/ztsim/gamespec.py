@@ -4,13 +4,13 @@ scenario format.
 """
 from __future__ import annotations
 
+import itertools
+
 import yaml
 
-from .errors import ScenarioFormatError
+from .errors import ScenarioFormatError, reject_bool
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from .scenario import SCHEMA_VERSION, _load_yaml, _require, _section
-
-GAME_KINDS = ("matrix_game", "bimatrix_game", "bayesian_game", "signaling_game")
 
 
 def parse_game(text):
@@ -26,14 +26,8 @@ def parse_game(text):
     body = doc[kind]
     if not isinstance(body, dict):
         raise ScenarioFormatError("game", kind, "must be a mapping")
-    parser = {
-        "matrix_game": _parse_matrix,
-        "bimatrix_game": _parse_bimatrix,
-        "bayesian_game": _parse_bayesian,
-        "signaling_game": _parse_signaling,
-    }[kind]
     with _section(kind):
-        return parser(body)
+        return _PARSERS[kind](body)
 
 
 def _labeled_matrix(body, section, key, rows, cols):
@@ -47,45 +41,34 @@ def _labeled_matrix(body, section, key, rows, cols):
             raise ScenarioFormatError(
                 section, f"{key}.{r}", f"row keys must be exactly {list(cols)}"
             )
-        out.append(tuple(float(row[c]) for c in cols))
+        out.append(tuple(row[c] for c in cols))
     return tuple(out)
 
 
-def _parse_matrix(body):
-    rows = _require(body, "matrix_game", "row_labels", list)
-    cols = _require(body, "matrix_game", "col_labels", list)
-    payoff = _labeled_matrix(body, "matrix_game", "payoff", rows, cols)
-    try:
-        return MatrixGame(payoff=payoff, row_labels=tuple(rows), col_labels=tuple(cols))
-    except Exception as exc:
-        raise ScenarioFormatError("matrix_game", "payoff", str(exc)) from exc
+def _cells(table, *axes):
+    """{(label, ...): value} over the declared labels of a nested labeled
+    table; absent entries are left out, for the model to report."""
+    out = {}
+    for key in itertools.product(*axes):
+        node = table
+        for label in key:
+            node = node.get(label) if isinstance(node, dict) else None
+        if node is not None:
+            out[key] = node
+    return out
 
 
-def _parse_bimatrix(body):
-    rows = _require(body, "bimatrix_game", "row_labels", list)
-    cols = _require(body, "bimatrix_game", "col_labels", list)
-    leader = _labeled_matrix(body, "bimatrix_game", "leader_payoff", rows, cols)
-    follower = _labeled_matrix(body, "bimatrix_game", "follower_payoff", rows, cols)
-    try:
-        return BimatrixGame(
-            leader_payoff=leader,
-            follower_payoff=follower,
-            row_labels=tuple(rows),
-            col_labels=tuple(cols),
-        )
-    except Exception as exc:
-        raise ScenarioFormatError("bimatrix_game", "payoff", str(exc)) from exc
+def _parse_matrices(body, kind, cls, *names):
+    rows = _require(body, kind, "row_labels", list)
+    cols = _require(body, kind, "col_labels", list)
+    tables = {name: _labeled_matrix(body, kind, name, rows, cols) for name in names}
+    return cls(row_labels=rows, col_labels=cols, **tables)
 
 
 def _parse_bayesian(body):
     players = _require(body, "bayesian_game", "players", list)
     types = _require(body, "bayesian_game", "types", dict)
     actions = _require(body, "bayesian_game", "actions", dict)
-    for p in players:
-        if p not in types:
-            raise ScenarioFormatError("bayesian_game", f"types.{p}", "missing player")
-        if p not in actions:
-            raise ScenarioFormatError("bayesian_game", f"actions.{p}", "missing player")
     prior = {}
     for i, entry in enumerate(_require(body, "bayesian_game", "prior", list)):
         tmap = _require(entry, f"bayesian_game.prior[{i}]", "types", dict)
@@ -96,7 +79,9 @@ def _parse_bayesian(body):
             raise ScenarioFormatError(
                 "bayesian_game", f"prior[{i}].types", f"missing player {exc}"
             ) from exc
-        prior[profile] = prior.get(profile, 0.0) + float(p)
+        # Entries naming the same type profile add up, so a bool must be caught
+        # here: the model only sees the sum.
+        prior[profile] = prior.get(profile, 0.0) + reject_bool(p, f"prior[{i}].p")
     utilities = {p: {} for p in players}
     for i, entry in enumerate(_require(body, "bayesian_game", "utilities", list)):
         section = f"bayesian_game.utilities[{i}]"
@@ -111,17 +96,10 @@ def _parse_bayesian(body):
         for p in players:
             if p not in umap:
                 raise ScenarioFormatError("bayesian_game", f"{section}.u", f"missing player {p!r}")
-            utilities[p][(aprof, tprof)] = float(umap[p])
-    try:
-        return BayesianGameSpec(
-            players=tuple(players),
-            types={p: tuple(v) for p, v in types.items()},
-            actions={p: tuple(v) for p, v in actions.items()},
-            prior=prior,
-            utilities=utilities,
-        )
-    except Exception as exc:
-        raise ScenarioFormatError("bayesian_game", "-", str(exc)) from exc
+            utilities[p][(aprof, tprof)] = umap[p]
+    return BayesianGameSpec(
+        players=players, types=types, actions=actions, prior=prior, utilities=utilities
+    )
 
 
 def _parse_signaling(body):
@@ -129,44 +107,33 @@ def _parse_signaling(body):
     prior = _require(body, "signaling_game", "prior", dict)
     signals = _require(body, "signaling_game", "signals", list)
     ractions = _require(body, "signaling_game", "receiver_actions", list)
-    sender_doc = _require(body, "signaling_game", "sender_utility", dict)
-    receiver_doc = _require(body, "signaling_game", "receiver_utility", dict)
-    sender_utility = {}
-    for t in types:
-        if t not in sender_doc:
-            raise ScenarioFormatError("signaling_game", f"sender_utility.{t}", "missing type")
-        for s in signals:
-            if s not in sender_doc[t]:
-                raise ScenarioFormatError(
-                    "signaling_game", f"sender_utility.{t}.{s}", "missing signal"
-                )
-            for a in ractions:
-                if a not in sender_doc[t][s]:
-                    raise ScenarioFormatError(
-                        "signaling_game", f"sender_utility.{t}.{s}.{a}", "missing action"
-                    )
-                sender_utility[(t, s, a)] = float(sender_doc[t][s][a])
-    receiver_utility = {}
-    for a in ractions:
-        if a not in receiver_doc:
-            raise ScenarioFormatError("signaling_game", f"receiver_utility.{a}", "missing action")
-        for t in types:
-            if t not in receiver_doc[a]:
-                raise ScenarioFormatError(
-                    "signaling_game", f"receiver_utility.{a}.{t}", "missing type"
-                )
-            receiver_utility[(a, t)] = float(receiver_doc[a][t])
-    try:
-        return SignalingGameSpec(
-            types=tuple(types),
-            prior={t: float(prior.get(t, 0.0)) for t in types},
-            signals=tuple(signals),
-            receiver_actions=tuple(ractions),
-            sender_utility=sender_utility,
-            receiver_utility=receiver_utility,
-        )
-    except Exception as exc:
-        raise ScenarioFormatError("signaling_game", "-", str(exc)) from exc
+    return SignalingGameSpec(
+        types=types,
+        prior={t: prior.get(t, 0.0) for t in types},
+        signals=signals,
+        receiver_actions=ractions,
+        sender_utility=_cells(
+            _require(body, "signaling_game", "sender_utility", dict), types, signals, ractions
+        ),
+        receiver_utility=_cells(
+            _require(body, "signaling_game", "receiver_utility", dict), ractions, types
+        ),
+    )
+
+
+_PARSERS = {
+    "matrix_game": lambda body: _parse_matrices(body, "matrix_game", MatrixGame, "payoff"),
+    "bimatrix_game": lambda body: _parse_matrices(
+        body, "bimatrix_game", BimatrixGame, "leader_payoff", "follower_payoff"
+    ),
+    "bayesian_game": _parse_bayesian,
+    "signaling_game": _parse_signaling,
+}
+GAME_KINDS = tuple(_PARSERS)
+
+
+def _labeled(matrix, rows, cols):
+    return {r: dict(zip(cols, row)) for r, row in zip(rows, matrix)}
 
 
 def serialize_game(game) -> str:
@@ -175,24 +142,15 @@ def serialize_game(game) -> str:
         body = {
             "row_labels": list(game.row_labels),
             "col_labels": list(game.col_labels),
-            "payoff": {
-                r: {c: game.payoff[i][j] for j, c in enumerate(game.col_labels)}
-                for i, r in enumerate(game.row_labels)
-            },
+            "payoff": _labeled(game.payoff, game.row_labels, game.col_labels),
         }
         doc = {"schema_version": SCHEMA_VERSION, "matrix_game": body}
     elif isinstance(game, BimatrixGame):
         body = {
             "row_labels": list(game.row_labels),
             "col_labels": list(game.col_labels),
-            "leader_payoff": {
-                r: {c: game.leader_payoff[i][j] for j, c in enumerate(game.col_labels)}
-                for i, r in enumerate(game.row_labels)
-            },
-            "follower_payoff": {
-                r: {c: game.follower_payoff[i][j] for j, c in enumerate(game.col_labels)}
-                for i, r in enumerate(game.row_labels)
-            },
+            "leader_payoff": _labeled(game.leader_payoff, game.row_labels, game.col_labels),
+            "follower_payoff": _labeled(game.follower_payoff, game.row_labels, game.col_labels),
         }
         doc = {"schema_version": SCHEMA_VERSION, "bimatrix_game": body}
     elif isinstance(game, BayesianGameSpec):

@@ -1,9 +1,10 @@
-"""Scenario document parsing, validation, and serialization.
+"""Scenario document parsing and serialization.
 
 The on-disk format is YAML with an explicit schema version. Probability tables
 are written as labeled rows keyed by type/action/evidence identifiers, never
 positional arrays, so every validation failure can name the section and key
-that caused it.
+that caused it. The parser maps the document onto the model constructors and
+checks only its structure; the constructors make every value check.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from contextlib import contextmanager
 
 import yaml
 
-from .errors import ScenarioFormatError, ZtsimError
+from .errors import ScenarioFormatError, ValidationError
 from .sim import EntitySpec, PolicyConfig, Profile, Scenario
 from .trust import BehaviorModel, EvidenceModel, TypeSpace
 
@@ -29,20 +30,26 @@ def _require(mapping, section, key, kind=None):
     return value
 
 
-def _check_row_sum(row, section, key):
-    total = sum(row.values())
-    if abs(total - 1.0) > 1e-9:
-        raise ScenarioFormatError(section, key, f"probability row sums to {total}, expected 1")
+def _row(table, label, section, key):
+    """`table[label]`, which must be a non-empty mapping: an empty row would
+    leave its type out of the model's likelihood table."""
+    row = table.get(label) if isinstance(table, dict) else None
+    if not isinstance(row, dict) or not row:
+        raise ScenarioFormatError(section, key, "missing, or not a non-empty mapping")
+    return row
 
 
 @contextmanager
 def _section(section):
-    """Report any non-package exception raised while building `section` as a
-    ScenarioFormatError naming that section."""
+    """Report any exception raised while building `section`, other than a
+    ScenarioFormatError, as a ScenarioFormatError naming that section. A
+    model's ValidationError keeps its key; anything else gets key "-"."""
     try:
         yield
-    except ZtsimError:
+    except ScenarioFormatError:
         raise
+    except ValidationError as exc:
+        raise ScenarioFormatError(section, exc.key, exc.reason) from exc
     except Exception as exc:
         raise ScenarioFormatError(section, "-", f"{type(exc).__name__}: {exc}") from exc
 
@@ -65,158 +72,87 @@ def _load_yaml(text, what):
 
 
 def parse_scenario(text) -> Scenario:
-    """Parse and validate a scenario document; diagnostics name the section
-    and key of the first failure."""
+    """Map a scenario document onto the model constructors, which make every
+    value check; diagnostics name the section and key of the first failure."""
     doc = _load_yaml(text, "scenario")
 
     with _section("type_space"):
         ts_doc = _require(doc, "scenario", "type_space", dict)
-        types = _require(ts_doc, "type_space", "types", list)
-        trusted = _require(ts_doc, "type_space", "trusted", list)
-        if not types:
-            raise ScenarioFormatError("type_space", "types", "must be non-empty")
-        for t in trusted:
-            if t not in types:
-                raise ScenarioFormatError("type_space", "trusted", f"unknown type {t!r}")
-        try:
-            space = TypeSpace(types=tuple(types), trusted=frozenset(trusted))
-        except Exception as exc:
-            raise ScenarioFormatError("type_space", "types", str(exc)) from exc
+        space = TypeSpace(
+            types=_require(ts_doc, "type_space", "types", list),
+            trusted=_require(ts_doc, "type_space", "trusted", list),
+        )
+    types = space.types
 
     profiles = {}
     for name, pdoc in _require(doc, "scenario", "profiles", dict).items():
         section = f"profiles.{name}"
         with _section(section):
             behavior_doc = _require(pdoc, section, "behavior", dict)
-            actions = None
-            likelihood = {}
-            for theta, row in behavior_doc.items():
+            for theta in behavior_doc:
                 if theta not in types:
                     raise ScenarioFormatError(section, f"behavior.{theta}", "unknown type")
-                if not isinstance(row, dict) or not row:
-                    raise ScenarioFormatError(
-                        section,
-                        f"behavior.{theta}",
-                        "must be a non-empty mapping action -> probability",
-                    )
-                if actions is None:
-                    actions = list(row)
-                elif set(row) != set(actions):
-                    raise ScenarioFormatError(
-                        section, f"behavior.{theta}", f"actions differ from first row {actions}"
-                    )
-                _check_row_sum(row, section, f"behavior.{theta}")
-                for a, p in row.items():
-                    likelihood[(theta, a)] = float(p)
-            missing = [t for t in types if t not in behavior_doc]
-            if missing:
-                raise ScenarioFormatError(section, "behavior", f"missing rows for types {missing}")
-            try:
-                behavior = BehaviorModel(actions=tuple(actions), likelihood=likelihood)
-            except Exception as exc:
-                raise ScenarioFormatError(section, "behavior", str(exc)) from exc
+            for theta in types:
+                _row(behavior_doc, theta, section, f"behavior.{theta}")
+            # Category order, which sampling walks: actions as in the first row.
+            actions = tuple(next(iter(behavior_doc.values())))
+            behavior = BehaviorModel(
+                actions=actions,
+                likelihood={
+                    (theta, a): p for theta, row in behavior_doc.items() for a, p in row.items()
+                },
+            )
 
             evidence_doc = _require(pdoc, section, "evidence", dict)
-            evidence_values = None
             ev_likelihood = {}
             for action in actions:
-                if action not in evidence_doc:
-                    raise ScenarioFormatError(
-                        section, "evidence", f"missing rows for action {action!r}"
-                    )
-                per_type = evidence_doc[action]
+                rows = evidence_doc.get(action)
                 for theta in types:
-                    if not isinstance(per_type, dict) or theta not in per_type:
-                        raise ScenarioFormatError(
-                            section, f"evidence.{action}", f"missing row for type {theta!r}"
-                        )
-                    row = per_type[theta]
-                    if evidence_values is None:
-                        evidence_values = list(row)
-                    elif set(row) != set(evidence_values):
-                        raise ScenarioFormatError(
-                            section,
-                            f"evidence.{action}.{theta}",
-                            f"evidence values differ from first row {evidence_values}",
-                        )
-                    _check_row_sum(row, section, f"evidence.{action}.{theta}")
-                    for e, p in row.items():
-                        ev_likelihood[(action, theta, e)] = float(p)
-            try:
-                evidence = EvidenceModel(
-                    evidence_values=tuple(evidence_values), likelihood=ev_likelihood
-                )
-            except Exception as exc:
-                raise ScenarioFormatError(section, "evidence", str(exc)) from exc
+                    row = _row(rows, theta, section, f"evidence.{action}.{theta}")
+                    ev_likelihood.update(((action, theta, e), p) for e, p in row.items())
+            # Category order: evidence values as in the first action's first type.
+            evidence = EvidenceModel(
+                evidence_values=tuple(evidence_doc[actions[0]][types[0]]),
+                likelihood=ev_likelihood,
+            )
             profiles[name] = Profile(behavior=behavior, evidence=evidence)
 
+    entity_docs = _require(doc, "scenario", "entities", list)
+    if not entity_docs:  # a run needs someone to observe; the API allows none
+        raise ScenarioFormatError("scenario", "entities", "must be non-empty")
     entities = []
-    for i, edoc in enumerate(_require(doc, "scenario", "entities", list)):
+    for i, edoc in enumerate(entity_docs):
         section = f"entities[{i}]"
         with _section(section):
-            eid = _require(edoc, section, "id")
-            true_type = _require(edoc, section, "true_type")
-            profile = _require(edoc, section, "profile")
-            if true_type not in types:
-                raise ScenarioFormatError(section, "true_type", f"unknown type {true_type!r}")
-            if profile not in profiles:
-                raise ScenarioFormatError(section, "profile", f"unknown profile {profile!r}")
-            sources = edoc.get("prior", [{"score": 0.5, "weight": 1.0}])
-            parsed_sources = []
-            for j, sdoc in enumerate(sources):
-                score = _require(sdoc, f"{section}.prior[{j}]", "score", (int, float))
-                weight = sdoc.get("weight", 1.0)
-                parsed_sources.append((float(score), float(weight)))
-            entities.append(
-                EntitySpec(
-                    id=str(eid),
-                    true_type=true_type,
-                    profile=profile,
-                    prior_sources=tuple(parsed_sources),
-                )
-            )
+            fields = [_require(edoc, section, key) for key in ("id", "true_type", "profile")]
+            sources = [
+                (_require(sdoc, f"{section}.prior[{j}]", "score"), sdoc.get("weight", 1.0))
+                for j, sdoc in enumerate(edoc.get("prior", [{"score": 0.5, "weight": 1.0}]))
+            ]
+            entities.append(EntitySpec(*fields, prior_sources=tuple(sources)))
 
     with _section("policy"):
         pdoc = _require(doc, "scenario", "policy", dict)
-        grant = _require(pdoc, "policy", "grant_threshold", (int, float))
-        deny = _require(pdoc, "policy", "deny_threshold", (int, float))
-        decay = pdoc.get("decay_rate", 0.0)
-        if not 0.0 <= deny <= grant <= 1.0:
-            raise ScenarioFormatError(
-                "policy",
-                "deny_threshold",
-                f"thresholds must satisfy 0 <= deny ({deny}) <= grant ({grant}) <= 1",
-            )
-        try:
-            policy = PolicyConfig(
-                grant_threshold=float(grant),
-                deny_threshold=float(deny),
-                decay_rate=float(decay),
-                observe_while_denied=bool(pdoc.get("observe_while_denied", False)),
-            )
-        except Exception as exc:
-            raise ScenarioFormatError("policy", "-", str(exc)) from exc
+        policy = PolicyConfig(
+            grant_threshold=_require(pdoc, "policy", "grant_threshold", (int, float)),
+            deny_threshold=_require(pdoc, "policy", "deny_threshold", (int, float)),
+            decay_rate=pdoc.get("decay_rate", 0.0),
+            observe_while_denied=pdoc.get("observe_while_denied", False),
+        )
 
     with _section("run"):
         rdoc = doc.get("run", {})
-        horizon = rdoc.get("horizon", 1)
-        seed = rdoc.get("seed", 0)
-        if not isinstance(horizon, int) or horizon < 1:
-            raise ScenarioFormatError("run", "horizon", f"must be an integer >= 1, got {horizon!r}")
-        if not isinstance(seed, int):
-            raise ScenarioFormatError("run", "seed", f"must be an integer, got {seed!r}")
+        horizon, seed = rdoc.get("horizon", 1), rdoc.get("seed", 0)
 
-    try:
+    with _section("scenario"):
         return Scenario(
             space=space,
             profiles=profiles,
-            entities=tuple(entities),
+            entities=entities,
             policy=policy,
             horizon=horizon,
             seed=seed,
         )
-    except Exception as exc:
-        raise ScenarioFormatError("scenario", "-", str(exc)) from exc
 
 
 def serialize_scenario(scenario: Scenario) -> str:

@@ -10,12 +10,13 @@ perturb draws.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import trust
-from .errors import ValidationError, ZeroProbabilityObservation
+from .errors import ValidationError, ZeroProbabilityObservation, reject_bool
 from .trust import (
     BehaviorModel,
     EvidenceModel,
@@ -38,13 +39,18 @@ class PolicyConfig:
     observe_while_denied: bool = False
 
     def __post_init__(self):
+        for name in ("grant_threshold", "deny_threshold", "decay_rate"):
+            object.__setattr__(self, name, float(reject_bool(getattr(self, name), name)))
+        if not isinstance(self.observe_while_denied, bool):
+            raise ValidationError("must be true or false", "observe_while_denied")
         if not (0.0 <= self.deny_threshold <= self.grant_threshold <= 1.0):
             raise ValidationError(
                 f"thresholds must satisfy 0 <= deny ({self.deny_threshold}) "
-                f"<= grant ({self.grant_threshold}) <= 1"
+                f"<= grant ({self.grant_threshold}) <= 1",
+                "deny_threshold",
             )
-        if self.decay_rate < 0:
-            raise ValidationError("decay_rate must be non-negative")
+        if not self.decay_rate >= 0:  # NaN fails too
+            raise ValidationError(f"must be non-negative, got {self.decay_rate}", "decay_rate")
 
 
 @dataclass(frozen=True)
@@ -60,6 +66,15 @@ class EntitySpec:
     profile: str
     prior_sources: tuple  # ((score, weight), ...)
 
+    def __post_init__(self):
+        if isinstance(self.id, bool) or not isinstance(self.id, (str, int, float)):
+            raise ValidationError(f"must be a string or a number, got {self.id!r}", "id")
+        object.__setattr__(self, "id", str(self.id))
+        trust.compose_prior(self.prior_sources)
+        object.__setattr__(
+            self, "prior_sources", tuple((float(s), float(w)) for s, w in self.prior_sources)
+        )
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -71,18 +86,25 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
+        """Error keys are document paths, e.g. `run.horizon`, `entities[0].profile`."""
         object.__setattr__(self, "profiles", dict(self.profiles))
         object.__setattr__(self, "entities", tuple(self.entities))
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
-        ids = [e.id for e in self.entities]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("entity ids must be unique")
-        for e in self.entities:
+        for key, value, low in (("run.horizon", self.horizon, 1), ("run.seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+                raise ValidationError(f"must be an integer >= {low}, got {value!r}", key)
+        ids = set()
+        for i, e in enumerate(self.entities):
+            if e.id in ids:
+                raise ValidationError(f"duplicate id {e.id!r}", f"entities[{i}].id")
+            ids.add(e.id)
             if e.true_type not in self.space.types:
-                raise ValidationError(f"entity {e.id!r} has unknown true_type {e.true_type!r}")
+                raise ValidationError(f"unknown type {e.true_type!r}", f"entities[{i}].true_type")
             if e.profile not in self.profiles:
-                raise ValidationError(f"entity {e.id!r} references unknown profile {e.profile!r}")
+                raise ValidationError(f"unknown profile {e.profile!r}", f"entities[{i}].profile")
+            try:  # the prior score must be expressible over this type space
+                trust.state_from_score(trust.compose_prior(e.prior_sources), self.space)
+            except ValidationError as exc:
+                raise ValidationError(exc.reason, f"entities[{i}].prior") from exc
 
 
 @dataclass(frozen=True)

@@ -10,16 +10,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import NoPriorSources, ValidationError, ZeroProbabilityObservation
+from .errors import NoPriorSources, ValidationError, ZeroProbabilityObservation, reject_bool
 
 PROB_TOL = 1e-9
 
 
-def _check_prob(p, what):
+def _check_prob(p, key):
     if not (isinstance(p, (int, float)) and math.isfinite(p)):
-        raise ValidationError(f"{what} must be a finite number, got {p!r}")
+        raise ValidationError(f"must be a finite number, got {p!r}", key)
     if p < -PROB_TOL or p > 1 + PROB_TOL:
-        raise ValidationError(f"{what} must lie in [0, 1], got {p}")
+        raise ValidationError(f"must lie in [0, 1], got {p}", key)
+
+
+def _doc_prob(p, key):
+    """A probability taken from a document, as a float. Kept apart from
+    _check_prob, which TrustState runs on every update."""
+    _check_prob(reject_bool(p, key), key)
+    return float(p)
 
 
 @dataclass(frozen=True)
@@ -33,12 +40,12 @@ class TypeSpace:
         object.__setattr__(self, "types", tuple(self.types))
         object.__setattr__(self, "trusted", frozenset(self.trusted))
         if not self.types:
-            raise ValidationError("type space must be non-empty")
+            raise ValidationError("must be non-empty", "types")
         if len(set(self.types)) != len(self.types):
-            raise ValidationError("type identifiers must be unique")
+            raise ValidationError("identifiers must be unique", "types")
         extra = self.trusted - set(self.types)
         if extra:
-            raise ValidationError(f"trusted subset contains unknown types: {sorted(extra)}")
+            raise ValidationError(f"unknown types {sorted(extra)}", "trusted")
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,31 @@ class TrustState:
             raise ValidationError(f"trust mass must sum to 1, got {total}")
 
 
+def _check_rows(likelihood, columns, name, what):
+    """Check a likelihood table keyed by (*row, column): every key names a
+    declared column, and every row is a probability distribution over all the
+    columns, summed in declared order. Returns the table with float values."""
+    if not columns or len(set(columns)) != len(columns):
+        raise ValidationError(f"{what}s must be non-empty and unique", name)
+    table, rows = {}, {}
+    for k, p in likelihood.items():
+        row, col = k[:-1], k[-1]
+        key = ".".join(map(str, (name, *row)))
+        if col not in columns:
+            raise ValidationError(f"unknown {what} {col!r}", key)
+        table[k] = _doc_prob(p, f"{key}.{col}")
+        rows[row] = key
+    for row, key in rows.items():
+        total = 0.0
+        for c in columns:
+            if (*row, c) not in table:
+                raise ValidationError(f"missing {what} {c!r}", key)
+            total += table[(*row, c)]
+        if abs(total - 1.0) > PROB_TOL:
+            raise ValidationError(f"row sums to {total}, expected 1", key)
+    return table
+
+
 @dataclass(frozen=True)
 class BehaviorModel:
     """Action likelihoods per type: likelihood[(type, action)] = P(action | type)."""
@@ -70,23 +102,9 @@ class BehaviorModel:
 
     def __post_init__(self):
         object.__setattr__(self, "actions", tuple(self.actions))
-        object.__setattr__(self, "likelihood", dict(self.likelihood))
-        if not self.actions:
-            raise ValidationError("behavior model needs at least one action")
-        if len(set(self.actions)) != len(self.actions):
-            raise ValidationError("action identifiers must be unique")
-        for theta in self.types():
-            row = 0.0
-            for a in self.actions:
-                if (theta, a) not in self.likelihood:
-                    raise ValidationError(f"behavior row for type {theta!r} missing action {a!r}")
-                p = self.likelihood[(theta, a)]
-                _check_prob(p, f"behavior[{theta!r}, {a!r}]")
-                row += p
-            if abs(row - 1.0) > PROB_TOL:
-                raise ValidationError(
-                    f"behavior row for type {theta!r} sums to {row}, expected 1"
-                )
+        object.__setattr__(
+            self, "likelihood", _check_rows(self.likelihood, self.actions, "behavior", "action")
+        )
 
     def types(self):
         return tuple(dict.fromkeys(t for t, _ in self.likelihood))
@@ -105,26 +123,11 @@ class EvidenceModel:
 
     def __post_init__(self):
         object.__setattr__(self, "evidence_values", tuple(self.evidence_values))
-        object.__setattr__(self, "likelihood", dict(self.likelihood))
-        if not self.evidence_values:
-            raise ValidationError("evidence model needs at least one evidence value")
-        if len(set(self.evidence_values)) != len(self.evidence_values):
-            raise ValidationError("evidence identifiers must be unique")
-        pairs = dict.fromkeys((a, t) for a, t, _ in self.likelihood)
-        for a, t in pairs:
-            row = 0.0
-            for e in self.evidence_values:
-                if (a, t, e) not in self.likelihood:
-                    raise ValidationError(
-                        f"evidence row for (action={a!r}, type={t!r}) missing value {e!r}"
-                    )
-                p = self.likelihood[(a, t, e)]
-                _check_prob(p, f"evidence[{a!r}, {t!r}, {e!r}]")
-                row += p
-            if abs(row - 1.0) > PROB_TOL:
-                raise ValidationError(
-                    f"evidence row for (action={a!r}, type={t!r}) sums to {row}, expected 1"
-                )
+        object.__setattr__(
+            self,
+            "likelihood",
+            _check_rows(self.likelihood, self.evidence_values, "evidence", "evidence value"),
+        )
 
     def prob(self, evidence, action, theta):
         return self.likelihood[(action, theta, evidence)]
@@ -201,17 +204,18 @@ def compose_prior(sources) -> float:
     reputation, recommendations, etc."""
     sources = list(sources)
     if not sources:
-        raise NoPriorSources("no prior sources given")
+        raise NoPriorSources("no sources given", "prior")
     total_w = 0.0
     total = 0.0
-    for score, weight in sources:
-        _check_prob(score, "prior source score")
+    for j, (score, weight) in enumerate(sources):
+        score = _doc_prob(score, f"prior[{j}].score")
+        weight = float(reject_bool(weight, f"prior[{j}].weight"))
         if weight < 0:
-            raise ValidationError(f"prior source weight must be non-negative, got {weight}")
+            raise ValidationError(f"must be non-negative, got {weight}", f"prior[{j}].weight")
         total += score * weight
         total_w += weight
     if total_w <= 0:
-        raise NoPriorSources("all prior source weights are zero")
+        raise NoPriorSources("all source weights are zero", "prior")
     return min(1.0, max(0.0, total / total_w))
 
 

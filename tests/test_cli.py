@@ -189,3 +189,58 @@ def test_solve_output_file(game_specs_dir, tmp_path, capsys):
     assert code == EXIT_OK
     assert stdout == ""
     assert json.loads(out.read_text().splitlines()[0])["kind"] == "zero_sum"
+
+
+# Document values Python would coerce silently (a bool as 1 or 0, a quoted
+# 'false' as true, a list id as a string) or that cannot run (bad prior
+# sources, a negative seed, a NaN decay rate): each must be a validation error
+# naming its section.
+REJECTED_VALUES = [
+    ("scenario", "horizon: 40", "horizon: true", "scenario"),
+    ("scenario", "decay_rate: 0.01", "decay_rate: true", "policy"),
+    ("scenario", "decay_rate: 0.01", "decay_rate: .nan", "policy"),
+    ("scenario", "grant_threshold: 0.8", "grant_threshold: true", "policy"),
+    ("scenario", "staff: {routine: 0.95, anomalous: 0.05}",
+     "staff: {routine: true, anomalous: 0.0}", "profiles.workstation"),
+    ("scenario", "decay_rate: 0.01", "decay_rate: 0.01\n  observe_while_denied: 'false'",
+     "policy"),
+    ("scenario", "id: bob", "id: [1, 2]", "entities[1]"),
+    ("scenario", "seed: 2024", "seed: -1", "scenario"),
+    ("scenario", "{score: 0.6, weight: 1.0}", "{score: 0.6, weight: -1.0}", "entities[1]"),
+    ("scenario", "{score: 0.6, weight: 1.0}", "{score: 0.6, weight: 0.0}", "entities[1]"),
+    ("scenario", "{score: 0.6, weight: 1.0}", "{score: 1.5, weight: 1.0}", "entities[1]"),
+    ("game", "rock: {rock: 0,", "rock: {rock: false,", "matrix_game"),
+    ("game", "generic}, p: 0.5}\n    - {types: {insider: negligent, auditor: generic}, p: 0.5}",
+     "generic}, p: true}\n    - {types: {insider: negligent, auditor: generic}, p: 0}",
+     "bayesian_game"),
+    ("game", "negligent, auditor: generic}, p: 0.5}",
+     "negligent, auditor: generic}, p: 0.5}\n    - {types: {insider: diligent, auditor: generic}, "
+     "p: false}", "bayesian_game"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, old, new, section",
+    REJECTED_VALUES,
+    ids=["horizon-bool", "decay-bool", "decay-nan", "grant-bool", "behavior-bool", "observe-string",
+         "id-list", "seed-negative", "prior-negative-weight", "prior-zero-weights", "prior-score-above-one",
+         "payoff-bool", "bayesian-prior-bool", "bayesian-prior-bool-repeated"],
+)
+def test_rejected_document_value_exit_one(
+    scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, section
+):
+    if kind == "scenario":
+        source = scenarios_dir / "apt_stealth.yaml"
+    elif "rock" in old:
+        source = game_specs_dir / "rock_paper_scissors.yaml"
+    else:
+        source = game_specs_dir / "insider_matching.yaml"
+    text = source.read_text()
+    assert old in text
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace(old, new, 1))
+    flag = "--scenario" if kind == "scenario" else "--game"
+    code, out, err = run_cli(["run" if kind == "scenario" else "solve", flag, str(path)], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith(f"error: [{section}] ")

@@ -10,8 +10,8 @@ from ztsim.games import (
     alternate_best_response,
     fictitious_play,
     solve_zero_sum,
-    support_enumeration,
 )
+from zero_sum_reference import support_enumeration
 
 RPS = MatrixGame(
     payoff=((0, -1, 1), (1, 0, -1), (-1, 1, 0)),

@@ -273,3 +273,22 @@ def test_non_numeric_scenario_value_is_a_format_error(old, new, section):
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario(MINIMAL.replace(old, new, 1))
     assert info.value.section == section
+
+
+@pytest.mark.parametrize(
+    "old, new, key",
+    [
+        ("trusted: [good]", "trusted: []", "entities[0].prior"),
+        ("trusted: [good]", "trusted: [good, bad]", "entities[0].prior"),
+        ("entities:\n  - id: e1\n    true_type: good\n    profile: default\n",
+         "entities: []\n", "entities"),
+    ],
+    ids=["no-trusted-type", "no-untrusted-type", "no-entities"],
+)
+def test_scenario_that_cannot_run_is_rejected_at_load(old, new, key):
+    # Each would otherwise fail only inside `ztsim run`.
+    assert old in MINIMAL
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(MINIMAL.replace(old, new, 1))
+    assert info.value.section == "scenario"
+    assert info.value.key == key
