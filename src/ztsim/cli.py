@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import EnumerationBudgetExceeded, ScenarioFormatError, ZtsimError
+from .errors import EnumerationBudgetExceeded, ScenarioFormatError, TraceWriteError, ZtsimError
 from .games import (
     BayesianGameSpec,
     BimatrixGame,
@@ -27,7 +27,9 @@ from .games import (
 )
 from .gamespec import load_game
 from .scenario import load_scenario
-from .sim import compute_metrics, run
+# cmd_run batches its seeds through run_seeds; `run` stays a name of this
+# module for code that wraps it here, such as perfbench/spans.py.
+from .sim import compute_metrics, run, run_seeds  # noqa: F401
 from .trace import emit_trace, metrics_to_dict, solver_record
 
 EXIT_OK = 0
@@ -43,7 +45,17 @@ def _parse_seeds(spec):
     lo, hi = int(lo), int(hi)
     if hi < lo:
         raise ValueError(f"--seeds range is empty: {spec!r}")
+    if lo < 0:
+        raise ValueError(f"--seeds bounds must be non-negative, got {spec!r}")
     return range(lo, hi + 1)
+
+
+def _seeds(args, scenario):
+    if args.seeds is not None:
+        return list(_parse_seeds(args.seeds))
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    return [args.seed if args.seed is not None else scenario.seed]
 
 
 def _seeded_path(path, seed):
@@ -52,33 +64,35 @@ def _seeded_path(path, seed):
 
 
 def _write_trace(records, out_path):
+    """emit_trace to stdout or to a new file; a file that cannot be opened
+    is a sink failure before the first record."""
     if out_path is None:
         return emit_trace(records, sys.stdout)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    try:
+        fh = open(out_path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise TraceWriteError(0, exc) from exc
+    with fh:
         return emit_trace(records, fh)
 
 
 def cmd_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    if args.seeds is not None:
-        try:
-            seeds = list(_parse_seeds(args.seeds))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
-    else:
-        seeds = [args.seed if args.seed is not None else scenario.seed]
+    try:
+        seeds = _seeds(args, scenario)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     sweep = len(seeds) > 1
     all_metrics = {}
     try:
-        for seed in seeds:
-            trace = run(scenario, seed=seed)
+        for seed, trace in zip(seeds, run_seeds(scenario, seeds)):
             out_path = args.out
             if out_path is not None and sweep:
                 out_path = _seeded_path(out_path, seed)
             if out_path is not None or not sweep:
-                _write_trace(trace.records, out_path)
+                _write_trace(trace, out_path)
             all_metrics[seed] = metrics_to_dict(compute_metrics(trace))
     except ZtsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -86,9 +100,13 @@ def cmd_run(args) -> int:
 
     if args.metrics is not None:
         payload = all_metrics[seeds[0]] if not sweep else {"seeds": all_metrics}
-        with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
+                json.dump(payload, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            print(f"error: cannot write metrics: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -149,13 +167,13 @@ def cmd_solve(args) -> int:
     game = load_game(args.game)
     try:
         records = list(_solve_records(game, args.mode, args.off_path))
+        _write_trace(records, args.out)
     except EnumerationBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except ZtsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    _write_trace(records, args.out)
     return EXIT_OK
 
 

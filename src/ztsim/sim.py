@@ -6,12 +6,19 @@ to their hidden true type and emit side evidence, and the defender's belief is
 updated by Bayes' rule. All randomness flows from the scenario seed through
 per-entity PCG64 streams, so runs are bit-reproducible and entity order cannot
 perturb draws.
+
+`run` and `run_seeds` execute a Scenario compiled once into dense arrays,
+every (seed, entity) lane advancing together one numpy operation per step.
+`step`, `entity_rngs` and the labeled `trust.py` functions are the reference
+definition the kernel reproduces bit for bit, draws included.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +35,11 @@ from .trust import (
 GRANT = "grant"
 CHALLENGE = "challenge"
 DENY = "deny"
+DECISIONS = (GRANT, CHALLENGE, DENY)  # the kernel's decision codes 0, 1, 2
+_DENY_CODE = 2
+# Pre-drawn doubles per batch of seeds: the kernel runs
+# max(1, _CHUNK_DRAWS // (2 * horizon * entities)) seeds at a time.
+_CHUNK_DRAWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -105,6 +117,17 @@ class Scenario:
                 trust.state_from_score(trust.compose_prior(e.prior_sources), self.space)
             except ValidationError as exc:
                 raise ValidationError(exc.reason, f"entities[{i}].prior") from exc
+        for name in dict.fromkeys(e.profile for e in self.entities):
+            behavior, evidence = self.profiles[name].behavior, self.profiles[name].evidence
+            for t in self.space.types:  # every type's rows, which a simulated tick reads
+                if (t, behavior.actions[0]) not in behavior.likelihood:
+                    raise ValidationError(f"missing type {t!r}", f"profiles.{name}.behavior")
+                for a in behavior.actions:
+                    if (a, t, evidence.evidence_values[0]) not in evidence.likelihood:
+                        raise ValidationError(f"missing type {t!r}", f"profiles.{name}.evidence.{a}")
+        baseline = self.policy.baseline
+        if baseline is not None and set(baseline.mass) != set(self.space.types):
+            raise ValidationError("must cover exactly the space's types", "policy.baseline")
 
 
 @dataclass(frozen=True)
@@ -124,11 +147,50 @@ class SimState:
     trust: dict  # entity id -> TrustState
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
+    """One seed's run as arrays over [tick, entity]: decision codes into
+    DECISIONS, action and evidence indices into the entity's profile (-1 where
+    nothing was observed), scores before and after the update (int 0 when no
+    type is trusted, as `trust_score` returns), and the final mass in
+    `compiled.types` order. `records` and `final` build the labeled view."""
+
     scenario: Scenario
-    records: tuple
-    final: SimState
+    compiled: "CompiledScenario"
+    decision: np.ndarray
+    action: np.ndarray
+    evidence: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
+    mass: np.ndarray
+
+    @cached_property
+    def records(self) -> tuple:
+        c = self.compiled
+        out = []
+        rows = zip(self.decision.tolist(), self.action.tolist(), self.evidence.tolist(),
+                   self.before.tolist(), self.after.tolist())
+        for tick, row in enumerate(rows, start=1):
+            for n, (d, a, e, b, f) in enumerate(zip(*row)):
+                observed = a >= 0
+                out.append(StepRecord(
+                    tick=tick,
+                    entity_id=c.ids[n],
+                    decision=DECISIONS[d],
+                    action=c.actions[n][a] if observed else None,
+                    evidence=c.evidence_values[n][e] if observed else None,
+                    score_before=b,
+                    score_after=f,
+                ))
+        return tuple(out)
+
+    @cached_property
+    def final(self) -> SimState:
+        h = self.scenario.horizon
+        return SimState(tick=h, trust={
+            eid: TrustState(mass=dict(zip(self.compiled.types, row)), timestamp=h)
+            for eid, row in zip(self.compiled.ids, self.mass.tolist())
+        })
 
 
 @dataclass(frozen=True)
@@ -252,37 +314,211 @@ def initial_state(scenario: Scenario) -> SimState:
     return SimState(tick=0, trust=states)
 
 
+class CompiledScenario:
+    """A Scenario as dense arrays, built once per run or sweep.
+
+    Types are held in the order `state_from_score` builds a TrustState's mass,
+    trusted types first, which is the order every reference sum walks. Per
+    entity: the cumulative action distribution of its true type and the
+    cumulative evidence distribution per action, each summed left to right in
+    declared order as `_draw` does, with +inf from the last category on (so
+    sampling picks the first index where u < cum, else the last); and
+    lh[n, a, e, t] = h(e|a,t) * sigma(a|t), multiplied as `bayes_update` does.
+    """
+
+    def __init__(self, scenario: Scenario):
+        space, policy = scenario.space, scenario.policy
+        self.scenario = scenario
+        self.types = tuple(t for t in space.types if t in space.trusted) + tuple(
+            t for t in space.types if t not in space.trusted
+        )
+        self.n_trusted = len(space.trusted)
+        base = _baseline(scenario)
+        self.baseline = np.array([base.mass[t] for t in self.types])
+        # Every state is stamped with the tick it was last touched, so a tick
+        # always attenuates by exactly one elapsed step.
+        self.k = math.exp(-policy.decay_rate * 1)
+        entities = scenario.entities
+        self.ids = tuple(e.id for e in entities)
+        profiles = [scenario.profiles[e.profile] for e in entities]
+        self.actions = tuple(p.behavior.actions for p in profiles)
+        self.evidence_values = tuple(p.evidence.evidence_values for p in profiles)
+        n_a = max(map(len, self.actions), default=1)
+        n_e = max(map(len, self.evidence_values), default=1)
+        n = len(entities)
+        self.cum_action = np.full((n, n_a), np.inf)
+        self.cum_evidence = np.full((n, n_a, n_e), np.inf)
+        self.lh = np.zeros((n, n_a, n_e, len(self.types)))
+        for i, (e, p) in enumerate(zip(entities, profiles)):
+            acts, evs = p.behavior.actions, p.evidence.evidence_values
+            self.cum_action[i, : len(acts) - 1] = _cumulative(
+                [p.behavior.prob(a, e.true_type) for a in acts]
+            )
+            for j, a in enumerate(acts):
+                self.cum_evidence[i, j, : len(evs) - 1] = _cumulative(
+                    [p.evidence.prob(v, a, e.true_type) for v in evs]
+                )
+                for m, v in enumerate(evs):
+                    self.lh[i, j, m] = [
+                        p.evidence.prob(v, a, t) * p.behavior.prob(a, t) for t in self.types
+                    ]
+        start = initial_state(scenario).trust
+        self.prior = np.array(
+            [[start[eid].mass[t] for t in self.types] for eid in self.ids], dtype=float
+        ).reshape(n, len(self.types))
+
+    def _score(self, mass):
+        """`trust_score` per row: 0 plus the trusted masses in type order."""
+        if not self.n_trusted:
+            return np.zeros(len(mass), dtype=np.int64)
+        return _rowsum(mass[:, : self.n_trusted])
+
+    def run(self, seeds):
+        """Run `seeds` as one batch of lanes, lane = seed index * entities +
+        entity index. Returns the traces of the seeds before the first seed
+        that raised, and that seed's exception (None if none raised)."""
+        sc, policy = self.scenario, self.scenario.policy
+        s_count, n, h = len(seeds), len(self.ids), sc.horizon
+        lanes = np.arange(s_count * n)
+        ent = lanes % n if n else lanes
+        draws = np.empty((len(lanes), 2 * h))
+        for s, seed in enumerate(seeds):
+            rngs = entity_rngs(sc, seed)
+            for i, eid in enumerate(self.ids):
+                rngs[eid].random(out=draws[s * n + i])
+        cursor = np.zeros(len(lanes), dtype=np.int64)
+        cum_action = self.cum_action[ent]
+        mass = np.tile(self.prior, (s_count, 1))
+        shape = (h, len(lanes))
+        decision = np.empty(shape, dtype=np.int64)
+        action = np.empty(shape, dtype=np.int64)
+        evidence = np.empty(shape, dtype=np.int64)
+        score_dtype = np.float64 if self.n_trusted else np.int64
+        before, after = np.empty(shape, dtype=score_dtype), np.empty(shape, dtype=score_dtype)
+        errors = {}  # seed index -> the first exception its run raised
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for tick in range(1, h + 1):
+                decayed_bad = None
+                if self.k != 1.0:
+                    raw = self.baseline + (mass - self.baseline) * self.k
+                    mass = raw / _rowsum(raw)[:, None]
+                    decayed_bad = _bad_mass(mass)
+                b = self._score(mass)
+                d = np.where(b >= policy.grant_threshold, 0, np.where(b < policy.deny_threshold, 2, 1))
+                act = np.ones(len(lanes), dtype=bool) if policy.observe_while_denied else d != _DENY_CODE
+                u = draws[lanes, cursor]
+                a = (u[:, None] < cum_action).argmax(axis=1)
+                v = draws[lanes, cursor + 1]
+                e = (v[:, None] < self.cum_evidence[ent, a]).argmax(axis=1)
+                joint = self.lh[ent, a, e] * mass
+                z = _rowsum(joint)
+                post = joint / z[:, None]
+                zero = act & (z <= 0.0)
+                post_bad = act & ~zero & _bad_mass(post)
+                failed = zero | post_bad if decayed_bad is None else decayed_bad | zero | post_bad
+                if failed.any():
+                    for lane in np.flatnonzero(failed).tolist():
+                        s, i = divmod(lane, n)
+                        if s in errors:
+                            continue
+                        if decayed_bad is not None and decayed_bad[lane]:
+                            errors[s] = _mass_error(self.types, mass[lane], tick - 1)
+                        elif zero[lane]:
+                            errors[s] = ZeroProbabilityObservation(
+                                self.actions[i][a[lane]], self.evidence_values[i][e[lane]],
+                                tick=tick, entity_id=self.ids[i],
+                            )
+                        else:
+                            errors[s] = _mass_error(self.types, post[lane], tick)
+                mass = np.where(act[:, None], post, mass)
+                cursor += 2 * act
+                decision[tick - 1] = d
+                action[tick - 1] = np.where(act, a, -1)
+                evidence[tick - 1] = np.where(act, e, -1)
+                before[tick - 1] = b
+                after[tick - 1] = self._score(mass)
+        done = min(errors, default=s_count)
+        traces = [
+            SimTrace(sc, self, *(x[:, s * n : (s + 1) * n] for x in (decision, action, evidence, before, after)),
+                     mass[s * n : (s + 1) * n])
+            for s in range(done)
+        ]
+        return traces, errors.get(done)
+
+
+def _cumulative(probs):
+    """Running sums as `_draw` accumulates them, without the last one."""
+    out, acc = [], 0.0
+    for p in probs[:-1]:
+        acc += p
+        out.append(acc)
+    return out
+
+
+def _rowsum(x):
+    """Row sums added left to right from 0, as `sum()` over a mass dict and
+    TrustState's check add them."""
+    total = x[:, 0] + 0.0
+    for j in range(1, x.shape[1]):
+        total = total + x[:, j]
+    return total
+
+
+def _bad_mass(mass):
+    """Rows TrustState would reject: an entry outside [-PROB_TOL,
+    1 + PROB_TOL] or not finite, or a sum off 1 by more than PROB_TOL."""
+    tol = trust.PROB_TOL
+    inside = (mass >= -tol) & (mass <= 1 + tol)
+    return ~inside.all(axis=1) | (np.abs(_rowsum(mass) - 1.0) > tol)
+
+
+def _mass_error(types, row, tick):
+    """The ValidationError TrustState raises for a row `_bad_mass` flagged."""
+    try:
+        TrustState(mass=dict(zip(types, row.tolist())), timestamp=tick)
+    except ValidationError as exc:
+        return exc
+    raise AssertionError(f"TrustState accepts a row the kernel rejected: {row!r}")
+
+
+def run_seeds(scenario: Scenario, seeds):
+    """Yield one SimTrace per seed, in order. Seeds run in batches through one
+    CompiledScenario; when a seed raises, the traces of every earlier seed
+    have been yielded first, as running the seeds one by one would."""
+    compiled = CompiledScenario(scenario)
+    seeds = list(seeds)
+    per_lane = 2 * scenario.horizon * len(scenario.entities)
+    chunk = max(1, _CHUNK_DRAWS // per_lane) if per_lane else max(1, len(seeds))
+    for lo in range(0, len(seeds), chunk):
+        traces, error = compiled.run(seeds[lo : lo + chunk])
+        yield from traces
+        if error is not None:
+            raise error
+
+
 def run(scenario: Scenario, seed=None) -> SimTrace:
-    """Fold `step` over the horizon from the seeded initial state."""
-    rngs = entity_rngs(scenario, seed)
-    state = initial_state(scenario)
-    records = []
-    while state.tick < scenario.horizon:
-        state, recs = step(scenario, state, rngs)
-        records.extend(recs)
-    return SimTrace(scenario=scenario, records=tuple(records), final=state)
+    """The run `step` folded over the horizon from the seeded initial state
+    would give, computed by the compiled kernel."""
+    return next(run_seeds(scenario, [scenario.seed if seed is None else seed]))
 
 
 def compute_metrics(trace: SimTrace, policy: PolicyConfig = None) -> Metrics:
     """Per-entity detection time, false-lockout flag, final score, and the
-    full after-score trajectory."""
-    if not trace.records:
+    full after-score trajectory, read from the trace's columns."""
+    if not trace.scenario.entities:
         raise ValidationError("trace is empty")
     policy = policy or trace.scenario.policy
     trusted = trace.scenario.space.trusted
-    by_entity = {e.id: e for e in trace.scenario.entities}
+    detected = trace.after < policy.deny_threshold
+    first = (detected.argmax(axis=0) + 1).tolist()
+    ever = detected.any(axis=0).tolist()
+    denied = (trace.decision == _DENY_CODE).any(axis=0).tolist()
     out = {}
-    for eid, entity in by_entity.items():
-        recs = [r for r in trace.records if r.entity_id == eid]
-        trajectory = tuple(r.score_after for r in recs)
-        ttd = next(
-            (r.tick for r in recs if r.score_after < policy.deny_threshold), None
-        )
-        lockout = entity.true_type in trusted and any(r.decision == DENY for r in recs)
-        out[eid] = EntityMetrics(
-            time_to_detection=ttd,
-            false_lockout=lockout,
+    for n, (entity, trajectory) in enumerate(zip(trace.scenario.entities, trace.after.T.tolist())):
+        out[entity.id] = EntityMetrics(
+            time_to_detection=first[n] if ever[n] else None,
+            false_lockout=entity.true_type in trusted and denied[n],
             final_score=trajectory[-1],
-            trajectory=trajectory,
+            trajectory=tuple(trajectory),
         )
     return Metrics(per_entity=out)

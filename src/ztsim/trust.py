@@ -62,7 +62,9 @@ class TrustState:
             raise ValidationError("timestamp must be non-negative")
         total = 0.0
         for t, p in self.mass.items():
-            _check_prob(p, f"mass[{t!r}]")
+            # The passing case of _check_prob, tested without building the key.
+            if not (isinstance(p, (int, float)) and -PROB_TOL <= p <= 1 + PROB_TOL):
+                _check_prob(p, f"mass[{t!r}]")  # raises, naming the entry
             total += p
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(f"trust mass must sum to 1, got {total}")

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from ztsim.cli import EXIT_BUDGET, EXIT_OK, EXIT_VALIDATION, main
+from ztsim.cli import EXIT_BUDGET, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from ztsim.games import BayesianGameSpec
 from ztsim.gamespec import serialize_game
 
@@ -189,6 +189,52 @@ def test_solve_output_file(game_specs_dir, tmp_path, capsys):
     assert code == EXIT_OK
     assert stdout == ""
     assert json.loads(out.read_text().splitlines()[0])["kind"] == "zero_sum"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1"],
+    ["--seeds=-2..3"],
+    ["--seeds=-5..-1"],
+], ids=["seed", "seeds-low", "seeds-both"])
+def test_run_negative_seed_exit_one(scenarios_dir, capsys, argv):
+    scenario = str(scenarios_dir / "apt_stealth.yaml")
+    code, out, err = run_cli(["run", "--scenario", scenario] + argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: --seed") and "non-negative" in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--out"),
+    ("run", "--metrics"),
+    ("solve", "--out"),
+])
+def test_unwritable_output_path_exit_two(scenarios_dir, game_specs_dir, tmp_path, capsys, command, flag):
+    missing = tmp_path / "no_such_dir" / "out.jsonl"
+    if command == "run":
+        argv = ["run", "--scenario", str(scenarios_dir / "deterministic_attacker.yaml")]
+        if flag == "--metrics":
+            argv += ["--out", str(tmp_path / "trace.jsonl")]
+    else:
+        argv = ["solve", "--game", str(game_specs_dir / "rock_paper_scissors.yaml")]
+    code, out, err = run_cli(argv + [flag, str(missing)], capsys)
+    assert code == EXIT_RUNTIME
+    assert out == ""
+    assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+class _BrokenPipe:
+    def write(self, _):
+        raise BrokenPipeError("broken pipe")
+
+
+def test_solve_failing_stdout_exit_two(game_specs_dir, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _BrokenPipe())
+    code = main(["solve", "--game", str(game_specs_dir / "rock_paper_scissors.yaml")])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: trace sink failed after 0 records: broken pipe")
 
 
 # Document values Python would coerce silently (a bool as 1 or 0, a quoted

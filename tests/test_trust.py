@@ -338,3 +338,21 @@ def test_uniform_state():
     space = TypeSpace(("a", "b", "c"), {"a"})
     u = uniform_state(space)
     assert u.mass == {"a": pytest.approx(1 / 3), "b": pytest.approx(1 / 3), "c": pytest.approx(1 / 3)}
+
+
+@pytest.mark.parametrize("mass, message", [
+    ({"T": 1.5, "M": -0.5}, "mass['T']: must lie in [0, 1], got 1.5"),
+    ({"T": 0.5, "M": -2e-9}, "mass['M']: must lie in [0, 1], got -2e-09"),
+    ({"T": math.nan, "M": 0.5}, "mass['T']: must be a finite number, got nan"),
+    ({"T": math.inf, "M": 0.5}, "mass['T']: must be a finite number, got inf"),
+    ({"T": "0.5", "M": 0.5}, "mass['T']: must be a finite number, got '0.5'"),
+    ({"T": 0.5, "M": 0.4}, "trust mass must sum to 1, got 0.9"),
+])
+def test_trust_state_rejects_mass_naming_the_entry(mass, message):
+    with pytest.raises(ValidationError) as info:
+        TrustState(mass)
+    assert str(info.value) == message
+
+
+def test_trust_state_accepts_mass_within_tolerance():
+    TrustState({"T": 1 + 1e-9, "M": -1e-9})
