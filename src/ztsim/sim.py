@@ -153,7 +153,8 @@ class SimTrace:
     DECISIONS, action and evidence indices into the entity's profile (-1 where
     nothing was observed), scores before and after the update (int 0 when no
     type is trusted, as `trust_score` returns), and the final mass in
-    `compiled.types` order. `records` and `final` build the labeled view."""
+    `compiled.types` order. `records` and `final` build the labeled view.
+    Traces compare by that view: scenario, records and final state."""
 
     scenario: Scenario
     compiled: "CompiledScenario"
@@ -191,6 +192,11 @@ class SimTrace:
             eid: TrustState(mass=dict(zip(self.compiled.types, row)), timestamp=h)
             for eid, row in zip(self.compiled.ids, self.mass.tolist())
         })
+
+    def __eq__(self, other):
+        if not isinstance(other, SimTrace):
+            return NotImplemented
+        return (self.scenario, self.records, self.final) == (other.scenario, other.records, other.final)
 
 
 @dataclass(frozen=True)

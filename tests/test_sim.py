@@ -176,6 +176,12 @@ def test_run_is_deterministic():
     assert run(scenario).records == run(scenario).records
 
 
+def test_traces_compare_by_value():
+    scenario = attacker_scenario(horizon=5)
+    assert run(scenario) == run(scenario)
+    assert run(scenario) != run(attacker_scenario(horizon=4))
+
+
 def test_run_record_count():
     scenario = attacker_scenario(horizon=3)
     trace = run(scenario)
