@@ -79,6 +79,11 @@ class ScenarioFormatError(ValidationError):
         ZtsimError.__init__(self, f"[{section}] {key}: {reason}")
 
 
+class CertificateError(ZtsimError):
+    """A solver's answer failed the optimality certificate it promises, so it
+    is not returned."""
+
+
 class TraceWriteError(ZtsimError):
     """Trace sink failed mid-stream; `written` holds the partial record count."""
 

@@ -9,10 +9,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ValidationError, reject_bool
+from ..errors import CertificateError, ValidationError, reject_bool
 from .simplex import solve_lp
 
 CHECK_TOL = 1e-9
+CERT_RTOL = 1e-6
+
+
+def certificate_tol(M):
+    """Slack allowed in a solver certificate on payoff matrix `M`: CERT_RTOL
+    times the larger of its range and its largest magnitude. There is no
+    absolute floor, so the check tightens with the payoff scale."""
+    return CERT_RTOL * float(max(M.max() - M.min(), np.abs(M).max()))
 
 
 def _default_labels(prefix, n):
@@ -93,7 +101,8 @@ def solve_zero_sum(game: MatrixGame) -> ZeroSumSolution:
     """Exact minimax solution of a zero-sum matrix game via the LP formulation.
 
     The returned (value, x, y) satisfy the bilateral certificate
-    min_j (x'A)_j >= v - tol and max_i (A y)_i <= v + tol.
+    min_j (x'A)_j >= v - tol and max_i (A y)_i <= v + tol, with
+    tol = certificate_tol(A); an answer that fails it raises CertificateError.
     """
     A = game.matrix
     n_rows, n_cols = A.shape
@@ -107,11 +116,20 @@ def solve_zero_sum(game: MatrixGame) -> ZeroSumSolution:
     value = 1.0 / u.sum() - shift
     x = u / u.sum()
     y = w / w.sum()
-    return ZeroSumSolution(
+    sol = ZeroSumSolution(
         value=float(value),
         row_strategy=MixedStrategy(tuple(x)),
         col_strategy=MixedStrategy(tuple(y)),
     )
+    tol = certificate_tol(A)
+    guaranteed = float((np.array(sol.row_strategy.weights) @ A).min())
+    conceded = float((A @ np.array(sol.col_strategy.weights)).max())
+    if guaranteed < sol.value - tol or conceded > sol.value + tol:
+        raise CertificateError(
+            f"zero-sum certificate failed: value {sol.value!r}, row guarantee "
+            f"{guaranteed!r}, column concession {conceded!r}, tolerance {tol!r}"
+        )
+    return sol
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,9 @@ class SignalingGameSpec:
             object.__setattr__(self, name, table)
         if not self.types or not self.signals or not self.receiver_actions:
             raise ValidationError("types, signals, and receiver actions must be non-empty")
+        for name in ("types", "signals", "receiver_actions"):
+            if len(set(getattr(self, name))) != len(getattr(self, name)):
+                raise ValidationError("identifiers must be unique", name)
         total = sum(self.prior.get(t, 0.0) for t in self.types)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"sender type prior sums to {total}, expected 1", "prior")
@@ -183,6 +186,14 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     Bayes-consistent, off-path beliefs follow the rule, every receiver action
     is a best response to the belief at its signal, and no sender type gains
     more than EQ_TOL by deviating to another signal.
+
+    A signal's belief depends only on which positive-prior types send it, or,
+    when none does, on the signal alone. So each belief and its tied receiver
+    best responses are computed once per key, with `signal_posterior` and
+    `receiver_best_response`, and shared by every sender profile with that
+    key: on path the tuple of positive-prior sender types, off path the
+    signal. The sender deviation check reads a (type, signal, action) utility
+    table built once per call.
     """
     if off_path_rule not in OFF_PATH_RULES:
         raise ValidationError(f"unknown off-path rule {off_path_rule!r}")
@@ -192,52 +203,70 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     if required > budget:
         raise EnumerationBudgetExceeded(required, budget)
 
+    signals = spec.signals
+    utility, live = _sender_tables(spec)
+    responses = {}  # key -> (Belief, indices of the receiver's best responses)
     results = []
-    for sender_combo in itertools.product(spec.signals, repeat=len(spec.types)):
-        sender_map = dict(zip(spec.types, sender_combo))
-        beliefs = BeliefSystem(
-            tuple(
-                (s, signal_posterior(spec, sender_map, s, off_path_rule))
-                for s in spec.signals
-            )
-        )
-        # Receiver best-response values per signal, allowing any tied action.
-        per_signal_ok = {}
-        for s in spec.signals:
-            _, best_val, _ = receiver_best_response(spec, beliefs.belief(s))
-            ok = []
-            for a in spec.receiver_actions:
-                val = sum(
-                    p * spec.receiver_utility[(a, t)]
-                    for p, t in zip(beliefs.belief(s).probs, spec.types)
-                )
-                if val >= best_val - EQ_TOL:
-                    ok.append(a)
-            per_signal_ok[s] = ok
-        for receiver_combo in itertools.product(
-            *(per_signal_ok[s] for s in spec.signals)
-        ):
-            receiver_map = dict(zip(spec.signals, receiver_combo))
-            if _sender_deviation_exists(spec, sender_map, receiver_map):
+    for combo in itertools.product(range(len(signals)), repeat=len(spec.types)):
+        sender_map = {t: signals[k] for t, k in zip(spec.types, combo)}
+        at_signal = []
+        for k, s in enumerate(signals):
+            key = tuple(i for i in live if combo[i] == k) or k
+            if key not in responses:
+                responses[key] = _belief_and_responses(spec, sender_map, s, off_path_rule)
+            at_signal.append(responses[key])
+        sender_strategy = tuple(sender_map.items())
+        beliefs = BeliefSystem(tuple((s, b) for s, (b, _) in zip(signals, at_signal)))
+        classification = _classify(spec, sender_map)
+        for reply in itertools.product(*(ok for _, ok in at_signal)):
+            if _deviation_exists(utility, live, combo, reply):
                 continue
             results.append(
                 PBEResult(
-                    sender_strategy=tuple((t, sender_map[t]) for t in spec.types),
-                    receiver_strategy=tuple((s, receiver_map[s]) for s in spec.signals),
+                    sender_strategy=sender_strategy,
+                    receiver_strategy=tuple(
+                        (s, spec.receiver_actions[a]) for s, a in zip(signals, reply)
+                    ),
                     beliefs=beliefs,
-                    classification=_classify(spec, sender_map),
+                    classification=classification,
                 )
             )
     return results
 
 
-def _sender_deviation_exists(spec, sender_map, receiver_map):
-    for t in spec.types:
-        if spec.prior[t] <= 0:
-            continue
-        current = spec.sender_utility[(t, sender_map[t], receiver_map[sender_map[t]])]
-        for s in spec.signals:
-            if spec.sender_utility[(t, s, receiver_map[s])] > current + EQ_TOL:
+def _belief_and_responses(spec, sender_map, signal, off_path_rule):
+    """The belief at `signal` and the indices of every receiver action within
+    EQ_TOL of the best response to it."""
+    belief = signal_posterior(spec, sender_map, signal, off_path_rule)
+    _, best_val, _ = receiver_best_response(spec, belief)
+    ok = tuple(
+        i
+        for i, a in enumerate(spec.receiver_actions)
+        if sum(p * spec.receiver_utility[(a, t)] for p, t in zip(belief.probs, spec.types))
+        >= best_val - EQ_TOL
+    )
+    return belief, ok
+
+
+def _sender_tables(spec):
+    """Sender utilities indexed [type][signal][action], and the indices of the
+    positive-prior types, the only ones whose deviations count."""
+    utility = [
+        [[spec.sender_utility[(t, s, a)] for a in spec.receiver_actions] for s in spec.signals]
+        for t in spec.types
+    ]
+    return utility, [i for i, t in enumerate(spec.types) if spec.prior[t] > 0]
+
+
+def _deviation_exists(utility, live, combo, reply):
+    """Whether a positive-prior type gains more than EQ_TOL by switching
+    signal, with sender signal indices `combo` and receiver action indices
+    `reply` per signal."""
+    for t in live:
+        row = utility[t]
+        current = row[combo[t]][reply[combo[t]]]
+        for s, a in enumerate(reply):
+            if row[s][a] > current + EQ_TOL:
                 return True
     return False
 
@@ -261,4 +290,9 @@ def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="unifor
         )
         if val < best_val - EQ_TOL:
             return False
-    return not _sender_deviation_exists(spec, sender_map, receiver_map)
+    utility, live = _sender_tables(spec)
+    signal_index = {s: k for k, s in enumerate(spec.signals)}
+    action_index = {a: k for k, a in enumerate(spec.receiver_actions)}
+    combo = [signal_index[sender_map[t]] for t in spec.types]
+    reply = [action_index[receiver_map[s]] for s in spec.signals]
+    return not _deviation_exists(utility, live, combo, reply)

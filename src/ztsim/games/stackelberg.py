@@ -1,5 +1,6 @@
 """Stackelberg commitment in bimatrix games: pure-commitment enumeration and
-the strong Stackelberg equilibrium via one linear program per follower action.
+the strong Stackelberg equilibrium via one linear program per follower action,
+skipping actions whose bound cannot beat the incumbent.
 """
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ValidationError, ZtsimError
-from .matrix import MixedStrategy, _check_matrices
+from ..errors import CertificateError, ValidationError, ZtsimError
+from .matrix import MixedStrategy, _check_matrices, certificate_tol
 from .simplex import InfeasibleLP, solve_lp
 
 EQ_TOL = 1e-9
@@ -42,9 +43,20 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
     """Leader commits first; follower best-responds, ties broken in the
     leader's favor (strong Stackelberg convention).
 
-    pure: enumerate leader rows. mixed: for each follower column, maximize the
+    pure: enumerate leader rows. mixed: one LP per follower column
+    (Conitzer & Sandholm, EC 2006), visited in index order: maximize the
     leader payoff over the region where that column is a follower best
-    response, then keep the best feasible program.
+    response, and keep the first value more than EQ_TOL above the incumbent.
+    A column is skipped, without its LP, once an incumbent exists and the
+    column's bound max_i L[i, j] is no higher than the incumbent's value: the
+    LP value x @ L[:, j] cannot exceed that bound, so the column could not
+    have replaced the incumbent. Index order is kept because the first
+    column within EQ_TOL wins ties, so visit order shows in the answer.
+
+    The mixed answer must pass a certificate: the follower best-responds to
+    the returned mix, and the leader value is at least `leader_maximin`, each
+    within `certificate_tol` of the payoff matrix involved. An answer that
+    fails raises CertificateError.
     """
     if mode not in ("pure", "mixed"):
         raise ValidationError(f"mode must be 'pure' or 'mixed', got {mode!r}")
@@ -67,8 +79,11 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
             MixedStrategy(weights), j, float(value), float(F[i, j]), "pure"
         )
 
+    bound = L.max(axis=0)
     best = None
     for j in range(n_cols):
+        if best is not None and bound[j] <= best[0]:
+            continue  # x @ L[:, j] <= bound[j] cannot exceed best + EQ_TOL
         # max x @ L[:, j]  s.t.  x @ (F[:, k] - F[:, j]) <= 0 for all k,
         # sum(x) = 1, x >= 0
         others = [k for k in range(n_cols) if k != j]
@@ -94,9 +109,22 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
     value, j, x = best
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
-    return SSEResult(
+    result = SSEResult(
         MixedStrategy(tuple(x)), j, float(value), float(x @ F[:, j]), "mixed"
     )
+    follower = np.array(result.leader_strategy.weights) @ F
+    earned, best_reply = float(follower[j]), float(follower.max())
+    maximin = leader_maximin(game)
+    if (
+        earned < best_reply - certificate_tol(F)
+        or result.leader_value < maximin - certificate_tol(L)
+    ):
+        raise CertificateError(
+            f"Stackelberg certificate failed: follower action {j} earns {earned!r} "
+            f"against a best {best_reply!r}; leader value {result.leader_value!r} "
+            f"against maximin {maximin!r}"
+        )
+    return result
 
 
 def leader_maximin(game: BimatrixGame) -> float:

@@ -1,11 +1,16 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
 
 from ztsim.games import BimatrixGame, SignalingGameSpec
 from ztsim.trust import BehaviorModel, EvidenceModel, TrustState, TypeSpace
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# `pytest --hypothesis-profile=ci` runs property tests that do not set their
+# own example count (the solver oracle tests) five times deeper.
+settings.register_profile("ci", max_examples=500)
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,45 @@
+"""The mixed strong Stackelberg loop as it stood before column pruning, kept
+as a test oracle: it solves the LP of every follower column in index order
+and keeps the first value more than EQ_TOL above the incumbent."""
+import numpy as np
+
+from ztsim.errors import ZtsimError
+from ztsim.games import MixedStrategy, SSEResult
+from ztsim.games.simplex import InfeasibleLP, solve_lp
+from ztsim.games.stackelberg import EQ_TOL
+
+
+def solve_stackelberg_mixed(game):
+    L = np.array(game.leader_payoff)
+    F = np.array(game.follower_payoff)
+    n_rows, n_cols = L.shape
+    best = None
+    for j in range(n_cols):
+        # max x @ L[:, j]  s.t.  x @ (F[:, k] - F[:, j]) <= 0 for all k,
+        # sum(x) = 1, x >= 0
+        others = [k for k in range(n_cols) if k != j]
+        A_ub = np.array([F[:, k] - F[:, j] for k in others]) if others else None
+        b_ub = np.zeros(len(others)) if others else None
+        try:
+            x, neg = solve_lp(
+                -L[:, j],
+                A_ub=A_ub,
+                b_ub=b_ub,
+                A_eq=np.ones((1, n_rows)),
+                b_eq=np.ones(1),
+            )
+        except InfeasibleLP:
+            continue
+        value = -neg
+        if best is None or value > best[0] + EQ_TOL:
+            best = (value, j, x)
+    if best is None:
+        raise ZtsimError(
+            "no follower best-response region is feasible; unreachable for finite games"
+        )
+    value, j, x = best
+    x = np.clip(x, 0.0, None)
+    x = x / x.sum()
+    return SSEResult(
+        MixedStrategy(tuple(x)), j, float(value), float(x @ F[:, j]), "mixed"
+    )

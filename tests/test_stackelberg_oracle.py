@@ -1,0 +1,144 @@
+"""Mixed `solve_stackelberg` skips follower columns whose bound cannot beat
+the incumbent; it must return exactly what the unpruned loop in
+`tests/stackelberg_reference.py` returns, bit for bit, or raise
+CertificateError where that answer fails the certificate."""
+from contextlib import contextmanager
+
+import numpy as np
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+import stackelberg_reference
+from ztsim.errors import CertificateError
+from ztsim.games import BimatrixGame, leader_maximin, solve_stackelberg
+from ztsim.games import stackelberg
+from ztsim.games.matrix import certificate_tol
+
+EQ_TOL = stackelberg.EQ_TOL
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _certified(game, res):
+    """The certificate, recomputed here from the raw matrices."""
+    L, F = np.array(game.leader_payoff), np.array(game.follower_payoff)
+    follower = np.array(res.leader_strategy.weights) @ F
+    return (
+        follower[res.follower_action] >= follower.max() - certificate_tol(F)
+        and res.leader_value >= leader_maximin(game) - certificate_tol(L)
+    )
+
+
+@st.composite
+def bimatrix_games(draw):
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # Integer payoffs: ties, equal bounds and LP values at their bound.
+        cell = st.integers(-2, 2).map(float)
+    else:
+        cell = st.floats(-1, 1, allow_nan=False, allow_subnormal=False)
+    L = np.array([[draw(cell) for _ in range(cols)] for _ in range(rows)])
+    F = np.array([[draw(cell) for _ in range(cols)] for _ in range(rows)])
+    for _ in range(draw(st.integers(0, 3))):
+        j, k = draw(st.integers(0, cols - 1)), draw(st.integers(0, cols - 1))
+        edit = draw(st.sampled_from(["duplicate", "constant", "near", "dominated"]))
+        if edit == "duplicate":
+            L[:, k], F[:, k] = L[:, j], F[:, j]
+        elif edit == "constant":
+            L[:, k] = draw(cell)
+            F[:, k] = draw(cell)
+        elif edit == "near":
+            # Same follower region, leader payoffs within a few EQ_TOL.
+            F[:, k] = F[:, j]
+            L[:, k] = L[:, j] + draw(st.sampled_from([-2, -1, -0.5, 0.5, 1, 2])) * EQ_TOL
+        elif j != k:
+            # Column k is strictly dominated for the follower: its LP is infeasible.
+            F[:, k] = F[:, j] - 1.0
+    scale = 10.0 ** draw(st.integers(-4, 4))
+    return BimatrixGame(tuple(map(tuple, L * scale)), tuple(map(tuple, F * scale)))
+
+
+@contextmanager
+def recorded_lps():
+    """Record the objective of every LP `solve_stackelberg` solves, as the
+    leader payoff column it maximizes."""
+    solved = []
+    solve = stackelberg.solve_lp
+
+    def recording(c, **kwargs):
+        solved.append(tuple(-c))
+        return solve(c, **kwargs)
+
+    stackelberg.solve_lp = recording
+    try:
+        yield solved
+    finally:
+        stackelberg.solve_lp = solve
+
+
+def _assert_matches_reference(game):
+    """Compare with the reference; returns how the answer came about."""
+    expected = stackelberg_reference.solve_stackelberg_mixed(game)
+    try:
+        with recorded_lps() as solved:
+            got = solve_stackelberg(game, mode="mixed")
+    except CertificateError:
+        assert not _certified(game, expected)
+        return "certificate rejects the answer"
+    assert _certified(game, expected)
+    assert got.follower_action == expected.follower_action
+    assert _bits(got.leader_strategy.weights) == _bits(expected.leader_strategy.weights)
+    assert _bits((got.leader_value, got.follower_value)) == _bits(
+        (expected.leader_value, expected.follower_value)
+    )
+    assert got.mode == "mixed"
+    skipped = game.shape[1] - len(solved)
+    return f"columns skipped: {skipped if skipped < 2 else '2+'}"
+
+
+@settings(deadline=None)
+@given(bimatrix_games())
+def test_mixed_matches_unpruned_reference(game):
+    event(_assert_matches_reference(game))
+
+
+def test_columns_that_cannot_win_skip_their_lp():
+    # Column 0's LP reaches its bound 3 (the follower always prefers it on
+    # row 0); column 1's bound 3 ties it and column 2's bound 1 is below it.
+    game = BimatrixGame(
+        leader_payoff=((3, 3, 1), (0, 0, 1)),
+        follower_payoff=((2, 1, 0), (0, 1, 2)),
+    )
+    with recorded_lps() as solved:
+        res = solve_stackelberg(game, mode="mixed")
+    assert solved == [(3.0, 0.0)]
+    assert res.follower_action == 0 and res.leader_value == 3.0
+    _assert_matches_reference(game)
+
+
+def test_a_column_above_the_incumbent_still_runs_its_lp():
+    # Column 1's bound 5 beats column 0's value 1, so its LP runs and wins.
+    game = BimatrixGame(
+        leader_payoff=((1, 5), (1, 0)),
+        follower_payoff=((0, 1), (1, 0)),
+    )
+    with recorded_lps() as solved:
+        res = solve_stackelberg(game, mode="mixed")
+    assert solved == [(1.0, 1.0), (5.0, 0.0)]
+    assert res.follower_action == 1
+    _assert_matches_reference(game)
+
+
+def test_first_column_within_eq_tol_keeps_winning():
+    # Two columns with one follower region; the second is better by less
+    # than EQ_TOL, so index order keeps the first one.
+    game = BimatrixGame(
+        leader_payoff=((1.0, 1.0 + EQ_TOL / 2), (0.0, 0.0)),
+        follower_payoff=((1.0, 1.0), (0.0, 0.0)),
+    )
+    res = solve_stackelberg(game, mode="mixed")
+    assert res.follower_action == 0
+    _assert_matches_reference(game)
