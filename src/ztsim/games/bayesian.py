@@ -37,11 +37,15 @@ class BayesianGameSpec:
         object.__setattr__(self, "utilities", utilities)
         if not self.players:
             raise ValidationError("at least one player required", "players")
+        if len(set(self.players)) != len(self.players):
+            raise ValidationError("identifiers must be unique", "players")
         for p in self.players:
-            if not self.types.get(p):
-                raise ValidationError(f"player {p!r} has no types", f"types.{p}")
-            if not self.actions.get(p):
-                raise ValidationError(f"player {p!r} has no actions", f"actions.{p}")
+            for name in ("types", "actions"):
+                labels = getattr(self, name).get(p)
+                if not labels:
+                    raise ValidationError(f"player {p!r} has no {name}", f"{name}.{p}")
+                if len(set(labels)) != len(labels):
+                    raise ValidationError("identifiers must be unique", f"{name}.{p}")
         total = 0.0
         for profile, prob in self.prior.items():
             if len(profile) != len(self.players):

@@ -9,8 +9,10 @@ perturb draws.
 
 `run` and `run_seeds` execute a Scenario compiled once into dense arrays,
 every (seed, entity) lane advancing together one numpy operation per step.
-`step`, `entity_rngs` and the labeled `trust.py` functions are the reference
-definition the kernel reproduces bit for bit, draws included.
+The trust arithmetic is `trust.py`'s row primitives, the same ones the labeled
+`attenuate`, `bayes_update` and `trust_score` apply to one state; `step` and
+`entity_rngs` are the reference fold the kernel reproduces bit for bit, draws
+and decisions included.
 """
 from __future__ import annotations
 
@@ -324,12 +326,13 @@ class CompiledScenario:
     """A Scenario as dense arrays, built once per run or sweep.
 
     Types are held in the order `state_from_score` builds a TrustState's mass,
-    trusted types first, which is the order every reference sum walks. Per
-    entity: the cumulative action distribution of its true type and the
-    cumulative evidence distribution per action, each summed left to right in
-    declared order as `_draw` does, with +inf from the last category on (so
-    sampling picks the first index where u < cum, else the last); and
-    lh[n, a, e, t] = h(e|a,t) * sigma(a|t), multiplied as `bayes_update` does.
+    trusted types first, so the fold of `step` and the kernel hand the `trust`
+    row primitives the same rows. Per entity: the cumulative action
+    distribution of its true type and the cumulative evidence distribution per
+    action, each summed left to right in declared order as `_draw` does, with
+    +inf from the last category on (so sampling picks the first index where
+    u < cum, else the last); and lh[n, a, e, t] = h(e|a,t) * sigma(a|t),
+    multiplied as `bayes_update` does.
     """
 
     def __init__(self, scenario: Scenario):
@@ -357,12 +360,12 @@ class CompiledScenario:
         self.lh = np.zeros((n, n_a, n_e, len(self.types)))
         for i, (e, p) in enumerate(zip(entities, profiles)):
             acts, evs = p.behavior.actions, p.evidence.evidence_values
-            self.cum_action[i, : len(acts) - 1] = _cumulative(
-                [p.behavior.prob(a, e.true_type) for a in acts]
+            self.cum_action[i, : len(acts) - 1] = np.cumsum(
+                [p.behavior.prob(a, e.true_type) for a in acts[:-1]]
             )
             for j, a in enumerate(acts):
-                self.cum_evidence[i, j, : len(evs) - 1] = _cumulative(
-                    [p.evidence.prob(v, a, e.true_type) for v in evs]
+                self.cum_evidence[i, j, : len(evs) - 1] = np.cumsum(
+                    [p.evidence.prob(v, a, e.true_type) for v in evs[:-1]]
                 )
                 for m, v in enumerate(evs):
                     self.lh[i, j, m] = [
@@ -372,12 +375,6 @@ class CompiledScenario:
         self.prior = np.array(
             [[start[eid].mass[t] for t in self.types] for eid in self.ids], dtype=float
         ).reshape(n, len(self.types))
-
-    def _score(self, mass):
-        """`trust_score` per row: 0 plus the trusted masses in type order."""
-        if not self.n_trusted:
-            return np.zeros(len(mass), dtype=np.int64)
-        return _rowsum(mass[:, : self.n_trusted])
 
     def run(self, seeds):
         """Run `seeds` as one batch of lanes, lane = seed index * entities +
@@ -402,47 +399,31 @@ class CompiledScenario:
         score_dtype = np.float64 if self.n_trusted else np.int64
         before, after = np.empty(shape, dtype=score_dtype), np.empty(shape, dtype=score_dtype)
         errors = {}  # seed index -> the first exception its run raised
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for tick in range(1, h + 1):
-                decayed_bad = None
-                if self.k != 1.0:
-                    raw = self.baseline + (mass - self.baseline) * self.k
-                    mass = raw / _rowsum(raw)[:, None]
-                    decayed_bad = _bad_mass(mass)
-                b = self._score(mass)
-                d = np.where(b >= policy.grant_threshold, 0, np.where(b < policy.deny_threshold, 2, 1))
-                act = np.ones(len(lanes), dtype=bool) if policy.observe_while_denied else d != _DENY_CODE
-                u = draws[lanes, cursor]
-                a = (u[:, None] < cum_action).argmax(axis=1)
-                v = draws[lanes, cursor + 1]
-                e = (v[:, None] < self.cum_evidence[ent, a]).argmax(axis=1)
-                joint = self.lh[ent, a, e] * mass
-                z = _rowsum(joint)
-                post = joint / z[:, None]
-                zero = act & (z <= 0.0)
-                post_bad = act & ~zero & _bad_mass(post)
-                failed = zero | post_bad if decayed_bad is None else decayed_bad | zero | post_bad
-                if failed.any():
-                    for lane in np.flatnonzero(failed).tolist():
-                        s, i = divmod(lane, n)
-                        if s in errors:
-                            continue
-                        if decayed_bad is not None and decayed_bad[lane]:
-                            errors[s] = _mass_error(self.types, mass[lane], tick - 1)
-                        elif zero[lane]:
-                            errors[s] = ZeroProbabilityObservation(
-                                self.actions[i][a[lane]], self.evidence_values[i][e[lane]],
-                                tick=tick, entity_id=self.ids[i],
-                            )
-                        else:
-                            errors[s] = _mass_error(self.types, post[lane], tick)
-                mass = np.where(act[:, None], post, mass)
-                cursor += 2 * act
-                decision[tick - 1] = d
-                action[tick - 1] = np.where(act, a, -1)
-                evidence[tick - 1] = np.where(act, e, -1)
-                before[tick - 1] = b
-                after[tick - 1] = self._score(mass)
+        for tick in range(1, h + 1):
+            if self.k != 1.0:
+                mass = trust._attenuate_rows(mass, self.baseline, self.k)
+            b = trust._score_rows(mass, self.n_trusted)
+            d = np.where(b >= policy.grant_threshold, 0, np.where(b < policy.deny_threshold, 2, 1))
+            act = np.ones(len(lanes), dtype=bool) if policy.observe_while_denied else d != _DENY_CODE
+            u = draws[lanes, cursor]
+            a = (u[:, None] < cum_action).argmax(axis=1)
+            v = draws[lanes, cursor + 1]
+            e = (v[:, None] < self.cum_evidence[ent, a]).argmax(axis=1)
+            post, z = trust._posterior_rows(mass, self.lh[ent, a, e])
+            zero = act & (z <= 0.0)
+            for lane in np.flatnonzero(zero).tolist():
+                s, i = divmod(lane, n)
+                errors.setdefault(s, ZeroProbabilityObservation(
+                    self.actions[i][a[lane]], self.evidence_values[i][e[lane]],
+                    tick=tick, entity_id=self.ids[i],
+                ))
+            mass = np.where(act[:, None], post, mass)
+            cursor += 2 * act
+            decision[tick - 1] = d
+            action[tick - 1] = np.where(act, a, -1)
+            evidence[tick - 1] = np.where(act, e, -1)
+            before[tick - 1] = b
+            after[tick - 1] = trust._score_rows(mass, self.n_trusted)
         done = min(errors, default=s_count)
         traces = [
             SimTrace(sc, self, *(x[:, s * n : (s + 1) * n] for x in (decision, action, evidence, before, after)),
@@ -450,41 +431,6 @@ class CompiledScenario:
             for s in range(done)
         ]
         return traces, errors.get(done)
-
-
-def _cumulative(probs):
-    """Running sums as `_draw` accumulates them, without the last one."""
-    out, acc = [], 0.0
-    for p in probs[:-1]:
-        acc += p
-        out.append(acc)
-    return out
-
-
-def _rowsum(x):
-    """Row sums added left to right from 0, as `sum()` over a mass dict and
-    TrustState's check add them."""
-    total = x[:, 0] + 0.0
-    for j in range(1, x.shape[1]):
-        total = total + x[:, j]
-    return total
-
-
-def _bad_mass(mass):
-    """Rows TrustState would reject: an entry outside [-PROB_TOL,
-    1 + PROB_TOL] or not finite, or a sum off 1 by more than PROB_TOL."""
-    tol = trust.PROB_TOL
-    inside = (mass >= -tol) & (mass <= 1 + tol)
-    return ~inside.all(axis=1) | (np.abs(_rowsum(mass) - 1.0) > tol)
-
-
-def _mass_error(types, row, tick):
-    """The ValidationError TrustState raises for a row `_bad_mass` flagged."""
-    try:
-        TrustState(mass=dict(zip(types, row.tolist())), timestamp=tick)
-    except ValidationError as exc:
-        return exc
-    raise AssertionError(f"TrustState accepts a row the kernel rejected: {row!r}")
 
 
 def run_seeds(scenario: Scenario, seeds):

@@ -3,12 +3,18 @@ prior composition from weighted sources, and exponential attenuation toward a
 baseline.
 
 All types are immutable values and all operations are pure functions; nothing
-here holds shared mutable state.
+here holds shared mutable state. The arithmetic lives in three row primitives
+over numpy arrays, which the labeled functions apply to one state and the
+simulation kernel to every lane at once. Probabilities that PROB_TOL admits
+just outside [0, 1] are stored clamped into it, so every mass these
+primitives derive is non-negative and normalized by construction.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NoPriorSources, ValidationError, ZeroProbabilityObservation, reject_bool
 
@@ -22,11 +28,14 @@ def _check_prob(p, key):
         raise ValidationError(f"must lie in [0, 1], got {p}", key)
 
 
+def _clamp(p):
+    return min(1.0, max(0.0, float(p)))
+
+
 def _doc_prob(p, key):
-    """A probability taken from a document, as a float. Kept apart from
-    _check_prob, which TrustState runs on every update."""
+    """A probability taken from a document, as a float clamped into [0, 1]."""
     _check_prob(reject_bool(p, key), key)
-    return float(p)
+    return _clamp(p)
 
 
 @dataclass(frozen=True)
@@ -51,21 +60,22 @@ class TypeSpace:
 @dataclass(frozen=True)
 class TrustState:
     """Probability mass over a TypeSpace's types for one entity, plus the tick
-    at which it was last updated."""
+    at which it was last updated. Entries are stored clamped into [0, 1]."""
 
     mass: dict
     timestamp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "mass", dict(self.mass))
         if self.timestamp < 0:
             raise ValidationError("timestamp must be non-negative")
-        total = 0.0
-        for t, p in self.mass.items():
+        mass, total = {}, 0.0
+        for t, p in dict(self.mass).items():
             # The passing case of _check_prob, tested without building the key.
             if not (isinstance(p, (int, float)) and -PROB_TOL <= p <= 1 + PROB_TOL):
                 _check_prob(p, f"mass[{t!r}]")  # raises, naming the entry
-            total += p
+            mass[t] = _clamp(p)
+            total += mass[t]
+        object.__setattr__(self, "mass", mass)
         if abs(total - 1.0) > PROB_TOL:
             raise ValidationError(f"trust mass must sum to 1, got {total}")
 
@@ -148,6 +158,29 @@ class Observation:
             raise ValidationError("observation tick must be non-negative")
 
 
+def _attenuate_rows(mass, baseline, k):
+    """Each row of `mass` moved toward `baseline` by the factor k, then
+    divided by its sum."""
+    raw = baseline + (mass - baseline) * k
+    return raw / raw.sum(axis=-1, keepdims=True)
+
+
+def _posterior_rows(mass, lh):
+    """Bayes' rule per row: the joint lh * mass divided by its sum z, and z.
+    A row with z = 0 comes back as its joint, all zeros."""
+    joint = lh * mass
+    z = joint.sum(axis=-1, keepdims=True)
+    return joint / np.where(z > 0.0, z, 1.0), z[..., 0]
+
+
+def _score_rows(mass, n_trusted):
+    """Trust score per row of `mass`, whose first n_trusted columns are the
+    trusted types: their sum, or int 0 (the sum of nothing) when none is."""
+    if not n_trusted:
+        return np.zeros(mass.shape[:-1], dtype=np.int64)
+    return mass[..., :n_trusted].sum(axis=-1)
+
+
 def trust_score(state: TrustState, space: TypeSpace) -> float:
     """Probability mass on the trusted subset: the entity's trust score."""
     if set(state.mass) != set(space.types):
@@ -155,7 +188,8 @@ def trust_score(state: TrustState, space: TypeSpace) -> float:
             f"state types {sorted(map(repr, state.mass))} do not match "
             f"space types {sorted(map(repr, space.types))}"
         )
-    return sum(state.mass[t] for t in space.types if t in space.trusted)
+    trusted = np.array([state.mass[t] for t in space.types if t in space.trusted])
+    return _score_rows(trusted, len(trusted)).item()
 
 
 def bayes_update(
@@ -173,14 +207,14 @@ def bayes_update(
         raise ValidationError(f"unknown action {obs.action!r}")
     if obs.evidence not in evidence.evidence_values:
         raise ValidationError(f"unknown evidence value {obs.evidence!r}")
-    joint = {
-        t: evidence.prob(obs.evidence, obs.action, t) * behavior.prob(obs.action, t) * p
-        for t, p in state.mass.items()
-    }
-    z = sum(joint.values())
+    lh = [
+        evidence.prob(obs.evidence, obs.action, t) * behavior.prob(obs.action, t)
+        for t in state.mass
+    ]
+    post, z = _posterior_rows(np.array(list(state.mass.values())), np.array(lh))
     if z <= 0.0:
         raise ZeroProbabilityObservation(obs.action, obs.evidence, tick=obs.tick)
-    return TrustState(mass={t: v / z for t, v in joint.items()}, timestamp=obs.tick)
+    return TrustState(mass=dict(zip(state.mass, post.tolist())), timestamp=obs.tick)
 
 
 def sequence_update(state, obs_list, behavior, evidence) -> TrustState:
@@ -218,7 +252,7 @@ def compose_prior(sources) -> float:
         total_w += weight
     if total_w <= 0:
         raise NoPriorSources("all source weights are zero", "prior")
-    return min(1.0, max(0.0, total / total_w))
+    return _clamp(total / total_w)
 
 
 def attenuate(state: TrustState, elapsed, rate, baseline: TrustState) -> TrustState:
@@ -236,9 +270,9 @@ def attenuate(state: TrustState, elapsed, rate, baseline: TrustState) -> TrustSt
     k = math.exp(-rate * elapsed)
     if k == 1.0:
         return state
-    raw = {t: baseline.mass[t] + (state.mass[t] - baseline.mass[t]) * k for t in state.mass}
-    z = sum(raw.values())
-    return TrustState(mass={t: v / z for t, v in raw.items()}, timestamp=state.timestamp)
+    base = np.array([baseline.mass[t] for t in state.mass])
+    mass = _attenuate_rows(np.array(list(state.mass.values())), base, k)
+    return TrustState(mass=dict(zip(state.mass, mass.tolist())), timestamp=state.timestamp)
 
 
 def uniform_state(space: TypeSpace, timestamp: int = 0) -> TrustState:

@@ -159,6 +159,29 @@ def test_utility_table_must_be_total():
         )
 
 
+@pytest.mark.parametrize("key", ["players", "types.p", "actions.p"])
+def test_repeated_labels_rejected(key):
+    players = ("p", "q")
+    types = {"p": ("x", "y"), "q": ("z",)}
+    actions = {"p": ("a", "b"), "q": ("c",)}
+    if key == "players":
+        players = ("p", "p")
+    else:
+        table = types if key == "types.p" else actions
+        table["p"] = (table["p"][0],) * 2
+    type_profiles = list(itertools.product(*(types[p] for p in players)))
+    cells = itertools.product(itertools.product(*(actions[p] for p in players)), type_profiles)
+    zeros = dict.fromkeys(cells, 0.0)
+    with pytest.raises(ValidationError) as info:
+        BayesianGameSpec(
+            players, types, actions,
+            {t: 1.0 / len(type_profiles) for t in type_profiles},
+            {p: zeros for p in players},
+        )
+    assert info.value.key == key
+    assert info.value.reason == "identifiers must be unique"
+
+
 def test_find_bne_matches_reference_on_random_games():
     rng = np.random.default_rng(7)
     for _ in range(30):

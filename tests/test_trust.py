@@ -1,6 +1,7 @@
 import math
 
 import pytest
+import trust_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -355,4 +356,77 @@ def test_trust_state_rejects_mass_naming_the_entry(mass, message):
 
 
 def test_trust_state_accepts_mass_within_tolerance():
-    TrustState({"T": 1 + 1e-9, "M": -1e-9})
+    assert TrustState({"T": 1 + 1e-9, "M": -1e-9}).mass == {"T": 1.0, "M": 0.0}
+
+
+def test_model_construction_stores_in_tolerance_likelihood_clamped():
+    behavior = BehaviorModel(("a", "b"), {("T", "a"): -1e-10, ("T", "b"): 1 + 1e-10})
+    assert behavior.likelihood == {("T", "a"): 0.0, ("T", "b"): 1.0}
+    assert repr(behavior.prob("a", "T")) == "0.0"
+
+
+# --- the array-backed arithmetic against the dict reference ---------------
+
+SCALARS = st.one_of(
+    st.sampled_from((0.0, 1.0, 0.5, 1e-300)), st.floats(min_value=0.0, max_value=1.0)
+)
+
+
+@st.composite
+def arithmetic_inputs(draw):
+    """Up to 7 types (numpy sums rows of that width left to right), a mass
+    and a baseline keyed in any order with zeros allowed, a trusted subset,
+    two-valued likelihood rows, one observation, elapsed time and a rate."""
+    n = draw(st.integers(1, 7))
+    types = tuple(f"t{i}" for i in range(n))
+
+    def state():
+        weights = draw(st.lists(SCALARS, min_size=n, max_size=n))
+        if not any(weights):
+            weights[0] = 1.0
+        total = sum(weights)
+        return TrustState(dict(zip(draw(st.permutations(types)), (w / total for w in weights))))
+
+    def row(key):
+        p = draw(SCALARS)
+        return {(*key, 0): p, (*key, 1): 1.0 - p}
+
+    behavior, evidence = {}, {}
+    for t in types:
+        behavior.update(row((t,)))
+        for a in (0, 1):
+            evidence.update(row((a, t)))
+    return (
+        TypeSpace(types, draw(st.sets(st.sampled_from(types)))),
+        state(),
+        state(),
+        BehaviorModel((0, 1), behavior),
+        EvidenceModel((0, 1), evidence),
+        Observation(draw(st.sampled_from((0, 1))), draw(st.sampled_from((0, 1))), tick=1),
+        draw(st.sampled_from((0, 1, 2.5))),
+        draw(st.sampled_from((0.0, 1e-17, 0.01, 0.3, 50.0))),
+    )
+
+
+def _exact(state):
+    return state.timestamp, [(t, repr(p)) for t, p in state.mass.items()]
+
+
+def _bayes_outcome(update, *args):
+    try:
+        return _exact(update(*args))
+    except ZeroProbabilityObservation as exc:
+        return "zero", exc.action, exc.evidence, exc.tick
+
+
+@settings(max_examples=300, deadline=None)
+@given(arithmetic_inputs())
+def test_array_backed_arithmetic_equals_dict_reference(inputs):
+    space, state, baseline, behavior, evidence, obs, elapsed, rate = inputs
+    assert repr(trust_score(state, space)) == repr(trust_reference.trust_score(state, space))
+    assert _exact(attenuate(state, elapsed, rate, baseline)) == _exact(
+        trust_reference.attenuate(state, elapsed, rate, baseline)
+    )
+    assert _bayes_outcome(bayes_update, state, obs, behavior, evidence) == _bayes_outcome(
+        trust_reference.bayes_update, state, obs, behavior, evidence
+    )
