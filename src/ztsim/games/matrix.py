@@ -23,6 +23,16 @@ def certificate_tol(M):
     return CERT_RTOL * float(max(M.max() - M.min(), np.abs(M).max()))
 
 
+def _normalise(M):
+    """Map `M` by a positive affine map into [1, 2]: returns (Ms, lo, span)
+    with M = lo + (Ms - 1) * span. Equilibrium strategies are invariant under
+    the map, so the LPs run on data of order one whatever the payoff scale.
+    A constant matrix maps to all ones with span 0."""
+    lo = float(M.min())
+    span = float(M.max()) - lo
+    return 1.0 + (M - lo) / (span or 1.0), lo, span
+
+
 def _default_labels(prefix, n):
     return tuple(f"{prefix}{i}" for i in range(n))
 
@@ -98,28 +108,23 @@ class ZeroSumSolution:
 
 
 def solve_zero_sum(game: MatrixGame) -> ZeroSumSolution:
-    """Exact minimax solution of a zero-sum matrix game via the LP formulation.
+    """Exact minimax solution of a zero-sum matrix game via one LP (von
+    Neumann): on the payoffs mapped into [1, 2],
+    max sum(w) s.t. As @ w <= 1, w >= 0. The column mix is w / sum(w) and the
+    row mix is the LP's duals over their sum.
 
     The returned (value, x, y) satisfy the bilateral certificate
     min_j (x'A)_j >= v - tol and max_i (A y)_i <= v + tol, with
     tol = certificate_tol(A); an answer that fails it raises CertificateError.
     """
     A = game.matrix
-    n_rows, n_cols = A.shape
-    shift = 1.0 - A.min()
-    As = A + shift  # strictly positive entries keep both LPs bounded/feasible
-
-    # Column player: max sum(w) s.t. As @ w <= 1, w >= 0; y = w / sum(w).
-    w, neg = solve_lp(-np.ones(n_cols), A_ub=As, b_ub=np.ones(n_rows))
-    # Row player: min sum(u) s.t. As' @ u >= 1, u >= 0; x = u / sum(u).
-    u, _ = solve_lp(np.ones(n_rows), A_ub=-As.T, b_ub=-np.ones(n_cols))
-    value = 1.0 / u.sum() - shift
-    x = u / u.sum()
-    y = w / w.sum()
+    As, lo, span = _normalise(A)
+    w, total, u = solve_lp(np.ones(A.shape[1]), As, np.ones(A.shape[0]))
+    u = np.maximum(u, 0.0)
     sol = ZeroSumSolution(
-        value=float(value),
-        row_strategy=MixedStrategy(tuple(x)),
-        col_strategy=MixedStrategy(tuple(y)),
+        value=float(lo + (1.0 / total - 1.0) * span),
+        row_strategy=MixedStrategy(tuple(u / u.sum())),
+        col_strategy=MixedStrategy(tuple(w / w.sum())),
     )
     tol = certificate_tol(A)
     guaranteed = float((np.array(sol.row_strategy.weights) @ A).min())

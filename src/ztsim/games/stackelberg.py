@@ -9,8 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CertificateError, ValidationError, ZtsimError
-from .matrix import MixedStrategy, _check_matrices, certificate_tol
-from .simplex import InfeasibleLP, solve_lp
+from . import simplex
+from .matrix import MixedStrategy, _check_matrices, _normalise, certificate_tol
+from .simplex import InfeasibleLP
 
 EQ_TOL = 1e-9
 
@@ -39,19 +40,38 @@ class SSEResult:
     mode: str
 
 
+def solve_lp(c, A, b):
+    """`simplex.solve_lp` for one commitment LP of `solve_stackelberg`; an
+    empty best-response region raises InfeasibleLP. The LP's feasible set
+    always holds x = 0, and with leader payoffs of at least 1 every other
+    point of a non-empty region scores more, up to 1 at sum(x) = 1; so an
+    optimum below 1/2 (in fact exactly 0) means the region is empty."""
+    x, value, _ = simplex.solve_lp(c, A, b)
+    if value < 0.5:
+        raise InfeasibleLP("the follower best-response region is empty")
+    return x, value
+
+
 def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
     """Leader commits first; follower best-responds, ties broken in the
-    leader's favor (strong Stackelberg convention).
+    leader's favor (strong Stackelberg convention). Both modes work on the
+    payoffs mapped into [1, 2] (`matrix._normalise`), so ties and EQ_TOL are
+    relative to each matrix's range and the answer does not depend on the
+    payoff scale; values are read back from the original matrices.
 
-    pure: enumerate leader rows. mixed: one LP per follower column
-    (Conitzer & Sandholm, EC 2006), visited in index order: maximize the
-    leader payoff over the region where that column is a follower best
-    response, and keep the first value more than EQ_TOL above the incumbent.
-    A column is skipped, without its LP, once an incumbent exists and the
-    column's bound max_i L[i, j] is no higher than the incumbent's value: the
-    LP value x @ L[:, j] cannot exceed that bound, so the column could not
-    have replaced the incumbent. Index order is kept because the first
-    column within EQ_TOL wins ties, so visit order shows in the answer.
+    pure: enumerate leader rows; follower payoffs within certificate_tol(F)
+    of the row's best are ties. mixed: one LP per follower column j
+    (Conitzer & Sandholm, EC 2006), visited in index order:
+    max x @ Ls[:, j] s.t. x @ (Fs[:, k] - Fs[:, j]) <= 0 for all k != j,
+    sum(x) <= 1, x >= 0. Since Ls >= 1, the optimum has sum(x) = 1 whenever
+    the region where column j is a follower best response is non-empty; an
+    empty region raises InfeasibleLP. Keep the first value more than EQ_TOL
+    above the incumbent. A column is skipped, without its LP, once an
+    incumbent exists and the column's bound max_i Ls[i, j] is no higher than
+    the incumbent's value: the LP value cannot exceed that bound, so the
+    column could not have replaced the incumbent. Index order is kept because
+    the first column within EQ_TOL wins ties, so visit order shows in the
+    answer.
 
     The mixed answer must pass a certificate: the follower best-responds to
     the returned mix, and the leader value is at least `leader_maximin`, each
@@ -62,55 +82,48 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
         raise ValidationError(f"mode must be 'pure' or 'mixed', got {mode!r}")
     L = np.array(game.leader_payoff)
     F = np.array(game.follower_payoff)
+    Ls = _normalise(L)[0]
     n_rows, n_cols = L.shape
 
     if mode == "pure":
+        tie = certificate_tol(F)
         best = None
         for i in range(n_rows):
-            br_val = F[i].max()
             # follower ties break in the leader's favor
-            cols = [j for j in range(n_cols) if F[i, j] >= br_val - EQ_TOL]
+            cols = np.flatnonzero(F[i] >= F[i].max() - tie)
             j = max(cols, key=lambda jj: (L[i, jj], -jj))
-            if best is None or L[i, j] > best[0] + EQ_TOL:
-                best = (L[i, j], i, j)
-        value, i, j = best
+            if best is None or Ls[i, j] > best[0] + EQ_TOL:
+                best = (Ls[i, j], i, int(j))
+        _, i, j = best
         weights = tuple(1.0 if k == i else 0.0 for k in range(n_rows))
         return SSEResult(
-            MixedStrategy(weights), j, float(value), float(F[i, j]), "pure"
+            MixedStrategy(weights), j, float(L[i, j]), float(F[i, j]), "pure"
         )
 
-    bound = L.max(axis=0)
+    Fs = _normalise(F)[0]
+    bound = Ls.max(axis=0)
+    b = np.zeros(n_cols)
+    b[-1] = 1.0
     best = None
     for j in range(n_cols):
         if best is not None and bound[j] <= best[0]:
-            continue  # x @ L[:, j] <= bound[j] cannot exceed best + EQ_TOL
-        # max x @ L[:, j]  s.t.  x @ (F[:, k] - F[:, j]) <= 0 for all k,
-        # sum(x) = 1, x >= 0
-        others = [k for k in range(n_cols) if k != j]
-        A_ub = np.array([F[:, k] - F[:, j] for k in others]) if others else None
-        b_ub = np.zeros(len(others)) if others else None
+            continue  # x @ Ls[:, j] <= bound[j] cannot exceed best + EQ_TOL
+        A = np.vstack([np.delete(Fs, j, axis=1).T - Fs[:, j], np.ones(n_rows)])
         try:
-            x, neg = solve_lp(
-                -L[:, j],
-                A_ub=A_ub,
-                b_ub=b_ub,
-                A_eq=np.ones((1, n_rows)),
-                b_eq=np.ones(1),
-            )
+            x, value = solve_lp(Ls[:, j], A, b)
         except InfeasibleLP:
             continue
-        value = -neg
         if best is None or value > best[0] + EQ_TOL:
             best = (value, j, x)
     if best is None:
         raise ZtsimError(
             "no follower best-response region is feasible; unreachable for finite games"
         )
-    value, j, x = best
+    _, j, x = best
     x = np.clip(x, 0.0, None)
     x = x / x.sum()
     result = SSEResult(
-        MixedStrategy(tuple(x)), j, float(value), float(x @ F[:, j]), "mixed"
+        MixedStrategy(tuple(x)), j, float(x @ L[:, j]), float(x @ F[:, j]), "mixed"
     )
     follower = np.array(result.leader_strategy.weights) @ F
     earned, best_reply = float(follower[j]), float(follower.max())

@@ -1,13 +1,18 @@
 """Loop-based two-phase tableau simplex with Bland's rule, kept as a test
-oracle for the vectorized kernel in `ztsim.games.simplex`.
+oracle for `ztsim.games.simplex` and for the commitment LPs of
+`tests/stackelberg_reference.py`.
 
-It is the row-by-row formulation the vectorized kernel must reproduce bit for
-bit: same pivot sequence, same floats (signed zeros included), same exception
-classes. `solve_lp` returns the pivot count alongside the answer.
+It shares no code with the solver under test: it handles general LPs
+(equality rows, negative right-hand sides) through a phase 1 over artificial
+variables, prices with Bland's rule throughout and computes row by row. Only
+the exception classes come from ztsim, so outcomes compare by class.
+`solve_lp` returns the pivot count alongside the answer.
 """
 import numpy as np
 
-from ztsim.games.simplex import TOL, InfeasibleLP, UnboundedLP
+from ztsim.games.simplex import InfeasibleLP, UnboundedLP
+
+TOL = 1e-9
 
 
 def _pivot(T, basis, row, col):

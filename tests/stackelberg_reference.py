@@ -1,11 +1,14 @@
-"""The mixed strong Stackelberg loop as it stood before column pruning, kept
-as a test oracle: it solves the LP of every follower column in index order
-and keeps the first value more than EQ_TOL above the incumbent."""
+"""The mixed strong Stackelberg loop as it stood before column pruning and
+payoff normalisation, kept as a test oracle: it solves the LP of every
+follower column on the raw payoffs, with the two-phase simplex of
+`tests/simplex_reference.py`, in index order, and keeps the first value more
+than EQ_TOL (absolute) above the incumbent."""
 import numpy as np
 
+from simplex_reference import solve_lp
 from ztsim.errors import ZtsimError
 from ztsim.games import MixedStrategy, SSEResult
-from ztsim.games.simplex import InfeasibleLP, solve_lp
+from ztsim.games.simplex import InfeasibleLP
 from ztsim.games.stackelberg import EQ_TOL
 
 
@@ -21,7 +24,7 @@ def solve_stackelberg_mixed(game):
         A_ub = np.array([F[:, k] - F[:, j] for k in others]) if others else None
         b_ub = np.zeros(len(others)) if others else None
         try:
-            x, neg = solve_lp(
+            x, neg, _ = solve_lp(
                 -L[:, j],
                 A_ub=A_ub,
                 b_ub=b_ub,

@@ -1,12 +1,13 @@
 """Solver certificates: `solve_zero_sum` checks its bilateral certificate and
 mixed `solve_stackelberg` checks the follower's best response and the leader
 maximin, each with a tolerance relative to the payoff magnitude and no
-absolute floor. A failing answer raises CertificateError (exit 2)."""
+absolute floor. A failing answer raises CertificateError (exit 2). The
+solvers work on payoffs mapped into [1, 2], so the answers themselves do not
+depend on the payoff scale."""
 import numpy as np
 import pytest
 
 from ztsim.cli import EXIT_RUNTIME, main
-from ztsim.errors import CertificateError
 from ztsim.games import (
     BimatrixGame,
     MatrixGame,
@@ -14,12 +15,13 @@ from ztsim.games import (
     solve_stackelberg,
     solve_zero_sum,
 )
+from ztsim.games import matrix, stackelberg
 from ztsim.games.matrix import certificate_tol
 from ztsim.gamespec import serialize_game
 
-# At payoff scale 1e-9 the simplex's absolute tolerances give wrong answers:
-# this zero-sum game has a saddle point at (r0, c1), but the column strategy
-# returned mixes in c0; the Stackelberg follower is not best-responding.
+# The zero-sum game has a saddle point at (r0, c1) with value -0.46 x scale,
+# and the Stackelberg follower answers column 1. At payoff scale 1e-9 the
+# solvers once gave wrong answers here (absolute simplex tolerances).
 LEADER = np.array([[27.0, -46.0], [-92.0, -97.0]])
 FOLLOWER = np.array([[63.0, 83.0], [21.0, 46.0]])
 
@@ -68,15 +70,32 @@ def test_same_games_pass_at_unit_scale():
     assert res.leader_value >= leader_maximin(game)
 
 
-def test_zero_sum_at_1e_minus_9_is_rejected():
-    with pytest.raises(CertificateError, match="zero-sum certificate failed"):
-        solve_zero_sum(_matrix_game(LEADER * 1e-11))
+def test_zero_sum_at_1e_minus_9_finds_the_saddle():
+    sol = solve_zero_sum(_matrix_game(LEADER * 1e-11))
+    assert sol.value == pytest.approx(-4.6e-10, rel=1e-12)
+    assert sol.row_strategy.weights == (1.0, 0.0)
+    assert sol.col_strategy.weights == (0.0, 1.0)
 
 
-def test_stackelberg_at_1e_minus_9_is_rejected():
+@pytest.mark.parametrize("mode", ["mixed", "pure"])
+def test_stackelberg_at_1e_minus_9_picks_follower_one(mode):
+    # On row 0 the follower strictly prefers column 1 (8.3e-10 > 6.3e-10);
+    # an absolute tie tolerance of 1e-9 once called both columns ties there.
     game = _bimatrix_game(LEADER * 1e-11, FOLLOWER * 1e-11)
-    with pytest.raises(CertificateError, match="Stackelberg certificate failed"):
-        solve_stackelberg(game, mode="mixed")
+    res = solve_stackelberg(game, mode=mode)
+    assert res.follower_action == 1
+    assert res.leader_strategy.weights == (1.0, 0.0)
+    assert res.leader_value == pytest.approx(-4.6e-10, rel=1e-12)
+
+
+def _reversed_solutions(solve_lp):
+    """A wrong LP solver: the right solution with its variables reversed."""
+
+    def wrong(*args):
+        x, *rest = solve_lp(*args)
+        return (x[::-1], *rest)
+
+    return wrong
 
 
 @pytest.mark.parametrize(
@@ -84,7 +103,9 @@ def test_stackelberg_at_1e_minus_9_is_rejected():
     [_matrix_game(LEADER * 1e-11), _bimatrix_game(LEADER * 1e-11, FOLLOWER * 1e-11)],
     ids=["zero_sum", "stackelberg"],
 )
-def test_cli_exits_two_instead_of_printing_a_wrong_answer(game, tmp_path, capsys):
+def test_cli_exits_two_instead_of_printing_a_wrong_answer(game, tmp_path, capsys, monkeypatch):
+    for module in (matrix, stackelberg):
+        monkeypatch.setattr(module, "solve_lp", _reversed_solutions(module.solve_lp))
     path = tmp_path / "tiny.yaml"
     path.write_text(serialize_game(game))
     out = tmp_path / "out.jsonl"

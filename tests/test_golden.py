@@ -45,12 +45,12 @@ GOLDEN = {
     "solve insider_matching pure pessimistic": "9e8ddc682cc4089b9b920c85cdc7ba4e150fab5aa70df993ca1ad63c37f58fcb",
     "solve insider_matching pure prior": "9e8ddc682cc4089b9b920c85cdc7ba4e150fab5aa70df993ca1ad63c37f58fcb",
     "solve insider_matching pure uniform": "9e8ddc682cc4089b9b920c85cdc7ba4e150fab5aa70df993ca1ad63c37f58fcb",
-    "solve rock_paper_scissors mixed pessimistic": "105dac0cbc544a619a248e3fe869010fe155f9f1ca9b35a721997dc3be47f385",
-    "solve rock_paper_scissors mixed prior": "105dac0cbc544a619a248e3fe869010fe155f9f1ca9b35a721997dc3be47f385",
-    "solve rock_paper_scissors mixed uniform": "105dac0cbc544a619a248e3fe869010fe155f9f1ca9b35a721997dc3be47f385",
-    "solve rock_paper_scissors pure pessimistic": "105dac0cbc544a619a248e3fe869010fe155f9f1ca9b35a721997dc3be47f385",
-    "solve rock_paper_scissors pure prior": "105dac0cbc544a619a248e3fe869010fe155f9f1ca9b35a721997dc3be47f385",
-    "solve rock_paper_scissors pure uniform": "105dac0cbc544a619a248e3fe869010fe155f9f1ca9b35a721997dc3be47f385",
+    "solve rock_paper_scissors mixed pessimistic": "c4a8627a8248e96fe78bad0c965ff4da5986b245ef26fede7fd3b55b8bf3c9de",
+    "solve rock_paper_scissors mixed prior": "c4a8627a8248e96fe78bad0c965ff4da5986b245ef26fede7fd3b55b8bf3c9de",
+    "solve rock_paper_scissors mixed uniform": "c4a8627a8248e96fe78bad0c965ff4da5986b245ef26fede7fd3b55b8bf3c9de",
+    "solve rock_paper_scissors pure pessimistic": "c4a8627a8248e96fe78bad0c965ff4da5986b245ef26fede7fd3b55b8bf3c9de",
+    "solve rock_paper_scissors pure prior": "c4a8627a8248e96fe78bad0c965ff4da5986b245ef26fede7fd3b55b8bf3c9de",
+    "solve rock_paper_scissors pure uniform": "c4a8627a8248e96fe78bad0c965ff4da5986b245ef26fede7fd3b55b8bf3c9de",
 }
 
 

@@ -1,27 +1,42 @@
-"""The vectorized simplex must reproduce the loop-based oracle bit for bit:
-same solution and objective (signed zeros included), same pivot count, same
-exception class."""
+"""The single-phase simplex must agree with the loop-based two-phase Bland
+oracle: a feasible solution, the same optimum within `certificate_tol` of the
+LP's data, optimal duals, and the same exception class."""
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simplex_reference
 from ztsim.errors import ZtsimError
 from ztsim.games import simplex
+from ztsim.games.matrix import certificate_tol
 
 # Few distinct small values make ratio ties and degenerate vertices common.
 _VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
+# Three decimals keep entries clear of the pivot tolerance.
+_FLOATS = st.floats(-5, 5).map(lambda v: round(v, 3))
+
+# Beale (1955): pure Dantzig pricing with these ratio tie-breaks cycles
+# through six degenerate bases. As a maximization, its optimum is 1.25 at
+# x = (1, 0, 1, 0).
+BEALE = {
+    "c": np.array([0.75, -20.0, 0.5, -6.0]),
+    "A": np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+    "b": np.array([0.0, 0.0, 1.0]),
+}
 
 
 @contextmanager
-def counted_pivots():
+def counted_pivots(limit=None):
     count = [0]
     pivot = simplex._pivot
 
     def counting(*args):
         count[0] += 1
+        if limit is not None and count[0] > limit:
+            raise RuntimeError(f"more than {limit} pivots")
         return pivot(*args)
 
     simplex._pivot = counting
@@ -32,84 +47,99 @@ def counted_pivots():
 
 
 def _matrix(draw, rows, cols, values):
-    return np.array([[draw(values) for _ in range(cols)] for _ in range(rows)])
+    return np.array([[draw(values) for _ in range(cols)] for _ in range(rows)]).reshape(rows, cols)
 
 
 @st.composite
 def linear_programs(draw):
     n = draw(st.integers(1, 6))
-    n_ub = draw(st.integers(0, 6))
-    n_eq = draw(st.integers(0, 2))
-    values = draw(st.sampled_from([_VALUES, st.floats(-5, 5, allow_subnormal=False)]))
-    lp = {"c": np.array([draw(values) for _ in range(n)])}
-    if n_ub:
-        lp["A_ub"] = _matrix(draw, n_ub, n, values)
-        lp["b_ub"] = np.array([draw(values) for _ in range(n_ub)])
-    if n_eq:
-        lp["A_eq"] = _matrix(draw, n_eq, n, values)
-        lp["b_eq"] = np.array([draw(values) for _ in range(n_eq)])
-    return lp
+    m = draw(st.integers(0, 6))
+    values = draw(st.sampled_from([_VALUES, _FLOATS]))
+    return {
+        "c": np.array([draw(values) for _ in range(n)]),
+        "A": _matrix(draw, m, n, values),
+        "b": np.abs([draw(values) for _ in range(m)]).reshape(m),
+    }
 
 
 @st.composite
 def game_lps(draw):
-    """The zero-sum value LP on a shifted payoff matrix, as `games.matrix`
-    builds it: max sum(w) s.t. A w <= 1, w >= 0. Integer payoffs tie often."""
+    """The zero-sum value LP as `games.matrix` builds it: max sum(w) s.t.
+    As w <= 1, w >= 0, on payoffs mapped into [1, 2]. Integer payoffs tie
+    often."""
     rows = draw(st.integers(1, 7))
     cols = draw(st.integers(1, 7))
     A = _matrix(draw, rows, cols, st.integers(-3, 3).map(float))
-    A = A - A.min() + 1.0
-    return {"c": -np.ones(cols), "A_ub": A, "b_ub": np.ones(rows)}
+    span = A.max() - A.min()
+    return {"c": np.ones(cols), "A": 1.0 + (A - A.min()) / (span or 1.0), "b": np.ones(rows)}
 
 
-def _outcome(solve, lp):
+def _outcome(solve, *args):
     try:
-        return solve(**lp), None
+        return solve(*args), None
     except ZtsimError as exc:
         return None, type(exc)
 
 
-def _same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
-
-def _assert_bit_identical(lp):
-    expected, expected_exc = _outcome(simplex_reference.solve_lp, lp)
-    with counted_pivots() as pivots:
-        got, got_exc = _outcome(simplex.solve_lp, lp)
+def _assert_matches_oracle(lp):
+    c, A, b = lp["c"], lp["A"], lp["b"]
+    expected, expected_exc = _outcome(simplex_reference.solve_lp, -c, A, b)
+    got, got_exc = _outcome(simplex.solve_lp, c, A, b)
     assert got_exc is expected_exc
     if expected is None:
         return
-    x_ref, obj_ref, pivots_ref = expected
-    x, obj = got
-    assert _same_bits(x, x_ref)
-    assert _same_bits(obj, obj_ref)
-    assert pivots[0] == pivots_ref
+    _, neg, _ = expected
+    x, value, y = got
+    data = np.concatenate([A.ravel(), b, c])
+    tol = certificate_tol(np.append(data, neg))
+    assert value == pytest.approx(-neg, rel=0.0, abs=tol)
+    assert value == pytest.approx(c @ x, rel=0.0, abs=tol)
+    # Primal and dual feasibility; weak duality then makes both optimal.
+    width = max(1.0, np.abs(x).sum(), np.abs(y).sum())
+    assert (x >= 0).all() and (A @ x <= b + tol * width).all()
+    assert (y >= -tol).all() and (y @ A >= c - tol * width).all()
+    assert y @ b == pytest.approx(value, rel=0.0, abs=tol * width)
 
 
 @settings(max_examples=300, deadline=None)
 @given(linear_programs())
 def test_random_lps_match_loop_oracle(lp):
-    _assert_bit_identical(lp)
+    _assert_matches_oracle(lp)
 
 
 @settings(max_examples=100, deadline=None)
 @given(game_lps())
 def test_game_lps_match_loop_oracle(lp):
-    _assert_bit_identical(lp)
+    _assert_matches_oracle(lp)
 
 
 def test_oracle_covers_every_outcome():
     """Each outcome class the property tests rely on occurs in fixed cases."""
-    infeasible = {"c": [1.0], "A_ub": [[1.0]], "b_ub": [-1.0]}
-    unbounded = {"c": [-1.0], "A_ub": [[-1.0]], "b_ub": [1.0]}
+    unbounded = {"c": [1.0], "A": [[-1.0]], "b": [1.0]}
+    no_rows = {"c": [1.0, 0.0], "A": np.zeros((0, 2)), "b": []}
     degenerate = {
-        "c": [-1.0, -1.0],
-        "A_ub": [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
-        "b_ub": [1.0, 1.0, 1.0],
+        "c": [1.0, 1.0],
+        "A": [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+        "b": [1.0, 1.0, 1.0],
     }
-    assert _outcome(simplex_reference.solve_lp, infeasible)[1] is simplex.InfeasibleLP
-    assert _outcome(simplex_reference.solve_lp, unbounded)[1] is simplex.UnboundedLP
-    for lp in (infeasible, unbounded, degenerate):
-        _assert_bit_identical({k: np.asarray(v) for k, v in lp.items()})
+    for lp in (unbounded, no_rows):
+        lp = {k: np.asarray(v, dtype=float) for k, v in lp.items()}
+        assert _outcome(simplex.solve_lp, lp["c"], lp["A"], lp["b"])[1] is simplex.UnboundedLP
+    for lp in (unbounded, no_rows, degenerate, BEALE):
+        _assert_matches_oracle({k: np.asarray(v, dtype=float) for k, v in lp.items()})
+
+
+def test_beale_cycling_lp_terminates_through_the_bland_fallback():
+    with counted_pivots(limit=1000) as pivots:
+        x, value, _ = simplex.solve_lp(BEALE["c"], BEALE["A"], BEALE["b"])
+    assert value == pytest.approx(1.25, rel=1e-12)
+    assert x == pytest.approx([1.0, 0.0, 1.0, 0.0])
+    # The Dantzig run cycles until the fallback takes over.
+    assert pivots[0] > simplex.DEGENERATE_RUN
+
+
+def test_beale_cycles_under_pure_dantzig_pricing(monkeypatch):
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", 10**9)
+    with pytest.raises(RuntimeError, match="more than 1000 pivots"):
+        with counted_pivots(limit=1000):
+            simplex.solve_lp(BEALE["c"], BEALE["A"], BEALE["b"])
