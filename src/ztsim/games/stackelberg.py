@@ -59,8 +59,9 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
     relative to each matrix's range and the answer does not depend on the
     payoff scale; values are read back from the original matrices.
 
-    pure: enumerate leader rows; follower payoffs within certificate_tol(F)
-    of the row's best are ties. mixed: one LP per follower column j
+    pure: enumerate leader rows; follower payoffs within EQ_TOL of the row's
+    best in Fs are ties; keep the first row more than EQ_TOL above the
+    incumbent in Ls. mixed: one LP per follower column j
     (Conitzer & Sandholm, EC 2006), visited in index order:
     max x @ Ls[:, j] s.t. x @ (Fs[:, k] - Fs[:, j]) <= 0 for all k != j,
     sum(x) <= 1, x >= 0. Since Ls >= 1, the optimum has sum(x) = 1 whenever
@@ -82,15 +83,14 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
         raise ValidationError(f"mode must be 'pure' or 'mixed', got {mode!r}")
     L = np.array(game.leader_payoff)
     F = np.array(game.follower_payoff)
-    Ls = _normalise(L)[0]
+    Ls, Fs = _normalise(L)[0], _normalise(F)[0]
     n_rows, n_cols = L.shape
 
     if mode == "pure":
-        tie = certificate_tol(F)
         best = None
         for i in range(n_rows):
             # follower ties break in the leader's favor
-            cols = np.flatnonzero(F[i] >= F[i].max() - tie)
+            cols = np.flatnonzero(Fs[i] >= Fs[i].max() - EQ_TOL)
             j = max(cols, key=lambda jj: (L[i, jj], -jj))
             if best is None or Ls[i, j] > best[0] + EQ_TOL:
                 best = (Ls[i, j], i, int(j))
@@ -100,7 +100,6 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
             MixedStrategy(weights), j, float(L[i, j]), float(F[i, j]), "pure"
         )
 
-    Fs = _normalise(F)[0]
     bound = Ls.max(axis=0)
     b = np.zeros(n_cols)
     b[-1] = 1.0

@@ -88,6 +88,17 @@ def test_stackelberg_at_1e_minus_9_picks_follower_one(mode):
     assert res.leader_value == pytest.approx(-4.6e-10, rel=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["mixed", "pure"])
+def test_stackelberg_follower_ties_do_not_depend_on_the_payoff_offset(mode):
+    # On row 0 the follower prefers column 1 by the whole range of F (1e-3);
+    # a tie tolerance relative to max|F| (1e-2 here) once called it a tie and
+    # let the leader take the 1 at (r0, c0). Row 1 is an exact follower tie.
+    game = _bimatrix_game([[1.0, 0.0], [0.0, 0.0]], [[1e4, 1e4 + 1e-3], [1e4, 1e4]])
+    res = solve_stackelberg(game, mode=mode)
+    assert res.leader_value == 0.0
+    assert res.follower_action == 1 or res.leader_strategy.weights[0] == 0.0
+
+
 def _reversed_solutions(solve_lp):
     """A wrong LP solver: the right solution with its variables reversed."""
 
