@@ -152,7 +152,13 @@ def strategy_space_size(spec: BayesianGameSpec) -> int:
 
 def find_bne(spec: BayesianGameSpec, budget=DEFAULT_BUDGET):
     """All pure Bayesian Nash equilibria: profiles where no positive-probability
-    type of any player can gain more than EQ_TOL by a unilateral action change."""
+    type of any player can gain more than EQ_TOL by a unilateral action change.
+
+    Only players 0..n-2 are enumerated: with their strategies fixed, each type
+    of the last player best-responds on its own (Harsanyi 1967), so `_is_bne`
+    checks the others on the product of its per-type best-response sets (all
+    actions for a zero-marginal type), in full `itertools.product` order.
+    """
     required = strategy_space_size(spec)
     if required > budget:
         raise EnumerationBudgetExceeded(required, budget)
@@ -160,21 +166,29 @@ def find_bne(spec: BayesianGameSpec, budget=DEFAULT_BUDGET):
     # A player's pure strategy is a tuple of action indices, one per type.
     per_player = [
         list(itertools.product(range(len(spec.actions[p])), repeat=len(spec.types[p])))
-        for p in spec.players
+        for p in spec.players[:-1]
     ]
+    last = len(spec.players) - 1
     checks = _interim_tables(spec)
+    head_checks = [c for c in checks if c[0] != last]
+    by_type = {c[1]: c for c in checks if c[0] == last}
+    last_checks = [by_type.get(k) for k in range(len(spec.types[spec.players[last]]))]
+    every_action = range(len(spec.actions[spec.players[last]]))
 
     results = []
-    for combo in itertools.product(*per_player):
-        if _is_bne(checks, combo):
-            results.append(
-                BayesianStrategy.from_dict(
-                    {
-                        p: dict(zip(spec.types[p], (spec.actions[p][a] for a in choice)))
-                        for p, choice in zip(spec.players, combo)
-                    }
+    for head in itertools.product(*per_player):
+        options = [_best_responses(c, head) if c else every_action for c in last_checks]
+        for tail in itertools.product(*options):
+            combo = head + (tail,)
+            if _is_bne(head_checks, combo):
+                results.append(
+                    BayesianStrategy.from_dict(
+                        {
+                            p: dict(zip(spec.types[p], (spec.actions[p][a] for a in choice)))
+                            for p, choice in zip(spec.players, combo)
+                        }
+                    )
                 )
-            )
     return results
 
 
@@ -214,19 +228,29 @@ def _interim_tables(spec):
     return checks
 
 
+def _best_responses(check, combo):
+    """Action indices of the checked type that no switch beats by more than
+    EQ_TOL, the opponents' strategies read from `combo`."""
+    _, _, stride, n_alt, entries = check
+    values = [0.0] * n_alt
+    for prob, utilities, others in entries:
+        pos = 0
+        for j, tj, sj in others:
+            pos += combo[j][tj] * sj
+        for a in range(n_alt):
+            values[a] += prob * utilities[pos + a * stride]
+    best = []
+    for a in range(n_alt):
+        bar = values[a] + EQ_TOL
+        for v in values:
+            if v > bar:
+                break
+        else:
+            best.append(a)
+    return best
+
+
 def _is_bne(checks, combo):
     """True when no checked type of any player gains more than EQ_TOL by
     switching its action, the others held at `combo`."""
-    for i, k, stride, n_alt, entries in checks:
-        values = [0.0] * n_alt
-        for prob, utilities, others in entries:
-            pos = 0
-            for j, tj, sj in others:
-                pos += combo[j][tj] * sj
-            for a in range(n_alt):
-                values[a] += prob * utilities[pos + a * stride]
-        bar = values[combo[i][k]] + EQ_TOL
-        for v in values:
-            if v > bar:
-                return False
-    return True
+    return all(combo[c[0]][c[1]] in _best_responses(c, combo) for c in checks)

@@ -208,19 +208,29 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     responses = {}  # key -> (Belief, indices of the receiver's best responses)
     results = []
     for combo in itertools.product(range(len(signals)), repeat=len(spec.types)):
-        sender_map = {t: signals[k] for t, k in zip(spec.types, combo)}
+        sender_map = None  # built only for a cache miss or an equilibrium
+        senders = [[] for _ in signals]
+        for i in live:
+            senders[combo[i]].append(i)
         at_signal = []
         for k, s in enumerate(signals):
-            key = tuple(i for i in live if combo[i] == k) or k
+            key = tuple(senders[k]) or k
             if key not in responses:
+                sender_map = sender_map or _sender_map(spec, combo)
                 responses[key] = _belief_and_responses(spec, sender_map, s, off_path_rule)
             at_signal.append(responses[key])
+        replies = [
+            reply
+            for reply in itertools.product(*(ok for _, ok in at_signal))
+            if not _deviation_exists(utility, live, combo, reply)
+        ]
+        if not replies:
+            continue
+        sender_map = sender_map or _sender_map(spec, combo)
         sender_strategy = tuple(sender_map.items())
         beliefs = BeliefSystem(tuple((s, b) for s, (b, _) in zip(signals, at_signal)))
         classification = _classify(spec, sender_map)
-        for reply in itertools.product(*(ok for _, ok in at_signal)):
-            if _deviation_exists(utility, live, combo, reply):
-                continue
+        for reply in replies:
             results.append(
                 PBEResult(
                     sender_strategy=sender_strategy,
@@ -232,6 +242,11 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
                 )
             )
     return results
+
+
+def _sender_map(spec, combo):
+    """The sender strategy type -> signal for signal indices `combo`."""
+    return {t: spec.signals[k] for t, k in zip(spec.types, combo)}
 
 
 def _belief_and_responses(spec, sender_map, signal, off_path_rule):
@@ -272,14 +287,27 @@ def _deviation_exists(utility, live, combo, reply):
 
 
 def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="uniform") -> bool:
-    """Standalone consistency check: recompute beliefs from the sender strategy
-    via signal_posterior and re-run both players' deviation checks."""
+    """Standalone consistency check: the result must cover exactly the
+    declared types and signals with declared labels and classify its sender
+    strategy as `_classify` does; beliefs are recomputed from the sender
+    strategy via signal_posterior and both players' deviation checks re-run."""
     sender_map = dict(result.sender_strategy)
     receiver_map = dict(result.receiver_strategy)
+    beliefs = dict(result.beliefs.by_signal)
+    signal_index = {s: k for k, s in enumerate(spec.signals)}
+    action_index = {a: k for k, a in enumerate(spec.receiver_actions)}
+    declared = (
+        sender_map.keys() == set(spec.types)
+        and receiver_map.keys() == beliefs.keys() == signal_index.keys()
+        and set(sender_map.values()) <= signal_index.keys()
+        and set(receiver_map.values()) <= action_index.keys()
+    )
+    if not declared or result.classification != _classify(spec, sender_map):
+        return False
     for s in spec.signals:
         expected = signal_posterior(spec, sender_map, s, off_path_rule)
-        got = result.beliefs.belief(s)
-        if expected.on_path != got.on_path:
+        got = beliefs[s]
+        if expected.on_path != got.on_path or len(got.probs) != len(expected.probs):
             return False
         if any(abs(a - b) > 1e-9 for a, b in zip(expected.probs, got.probs)):
             return False
@@ -291,8 +319,6 @@ def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="unifor
         if val < best_val - EQ_TOL:
             return False
     utility, live = _sender_tables(spec)
-    signal_index = {s: k for k, s in enumerate(spec.signals)}
-    action_index = {a: k for k, a in enumerate(spec.receiver_actions)}
     combo = [signal_index[sender_map[t]] for t in spec.types]
     reply = [action_index[receiver_map[s]] for s in spec.signals]
     return not _deviation_exists(utility, live, combo, reply)

@@ -257,8 +257,14 @@ def correlated_bayesian_games(draw):
 
 # With a zero tolerance, exact ties between deviations decide the result, so
 # any last-bit difference in an interim payoff would change the equilibria.
-@pytest.mark.parametrize("tol", [bayesian.EQ_TOL, 0.0], ids=["eq_tol", "zero_tol"])
-@settings(max_examples=150, deadline=None)
+zero_and_eq_tol = pytest.mark.parametrize(
+    "tol", [bayesian.EQ_TOL, 0.0], ids=["eq_tol", "zero_tol"]
+)
+
+
+@zero_and_eq_tol
+# 150 examples locally; the CI profile's 500 when it asks for more.
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
 @given(spec=correlated_bayesian_games())
 def test_find_bne_matches_deviation_loop(tol, spec):
     with mock.patch.object(bayesian, "EQ_TOL", tol):
@@ -288,3 +294,115 @@ def test_find_bne_breaks_exact_ties_in_belief_order():
         got = find_bne(spec)
         assert got == deviation_find_bne(spec)
     assert len(got) == 1
+
+
+def table_game(types, actions, payoff, weight=lambda tprof: 1.0):
+    """A game over players p0, p1, ... with `types[i]` type and `actions[i]`
+    action labels for player i, utility ``payoff(player index, action profile,
+    type profile)`` and a joint prior proportional to `weight`."""
+    players = tuple(f"p{i}" for i in range(len(types)))
+    types = dict(zip(players, types))
+    actions = dict(zip(players, actions))
+    tprofiles = list(itertools.product(*types.values()))
+    total = sum(weight(t) for t in tprofiles)
+    prior = {t: weight(t) / total for t in tprofiles}
+    utilities = {
+        p: {
+            (aprof, tprof): payoff(i, aprof, tprof)
+            for aprof in itertools.product(*actions.values())
+            for tprof in tprofiles
+        }
+        for i, p in enumerate(players)
+    }
+    return BayesianGameSpec(players, types, actions, prior, utilities)
+
+
+def test_is_bne_runs_once_per_strategy_of_the_other_players(monkeypatch):
+    """With untied payoffs each type of the last player has one best response,
+    so each of the first player's 3^4 strategies leaves one candidate; the old
+    full product checked up to 3^8 = 6561 profiles."""
+    rng = np.random.default_rng(11)
+    cells = iter(rng.uniform(-1, 1, size=2 * 9 * 16).tolist())
+    four = ("t0", "t1", "t2", "t3")
+    three = ("a0", "a1", "a2")
+    spec = table_game((four, four), (three, three), lambda *_: next(cells))
+    calls = []
+    is_bne = bayesian._is_bne
+
+    def counting(checks, combo):
+        calls.append(combo)
+        return is_bne(checks, combo)
+
+    monkeypatch.setattr(bayesian, "_is_bne", counting)
+    got = find_bne(spec)
+    assert len(calls) == 81
+    assert got == deviation_find_bne(spec)
+
+
+@zero_and_eq_tol
+def test_constant_game_returns_every_profile_in_product_order(tol):
+    spec = table_game((("x", "y"), ("u", "v")), (("A", "B"), ("C", "D", "E")), lambda *_: 1.5)
+    every = [
+        BayesianStrategy.from_dict({"p0": dict(zip(("x", "y"), s0)), "p1": dict(zip(("u", "v"), s1))})
+        for s0 in itertools.product("AB", repeat=2)
+        for s1 in itertools.product("CDE", repeat=2)
+    ]
+    with mock.patch.object(bayesian, "EQ_TOL", tol):
+        assert find_bne(spec) == every == deviation_find_bne(spec)
+
+
+@zero_and_eq_tol
+def test_one_player_game(tol):
+    """The other players' strategies are the empty head; ties keep both the
+    first and the third action."""
+    table = {"x": {"A": 2.0, "B": 1.0, "C": 2.0}, "y": {"A": 0.0, "B": 0.3, "C": 0.1}}
+    spec = table_game((("x", "y"),), (("A", "B", "C"),), lambda i, a, t: table[t[0]][a[0]])
+    with mock.patch.object(bayesian, "EQ_TOL", tol):
+        got = find_bne(spec)
+        assert got == deviation_find_bne(spec)
+    assert [eq.as_dict()["p0"] for eq in got] == [{"x": "A", "y": "B"}, {"x": "C", "y": "B"}]
+
+
+@zero_and_eq_tol
+def test_zero_marginal_type_of_the_last_player_keeps_every_action(tol):
+    """`ghost` never occurs, so any action of it is an equilibrium choice."""
+    spec = table_game(
+        (("x",), ("real", "ghost")),
+        (("A", "B"), ("C", "D")),
+        lambda i, a, t: float(a[0] == "A") + float(a[1] == "C") * (1 + i),
+        weight=lambda tprof: float(tprof[1] == "real"),
+    )
+    with mock.patch.object(bayesian, "EQ_TOL", tol):
+        got = find_bne(spec)
+        assert got == deviation_find_bne(spec)
+    assert [eq.as_dict()["p1"] for eq in got] == [
+        {"real": "C", "ghost": "C"},
+        {"real": "C", "ghost": "D"},
+    ]
+
+
+@zero_and_eq_tol
+def test_three_player_game(tol):
+    """Each player earns 1 for matching the next player's action (the last
+    matches the first), scaled by its own type: every all-equal profile is an
+    equilibrium, the head spans two players."""
+    scale = {"lo": 1.0, "hi": 2.0}
+    spec = table_game(
+        (("lo", "hi"), ("lo",), ("lo", "hi")),
+        (("A", "B"), ("A", "B", "C"), ("A", "B")),
+        lambda i, a, t: scale[t[i]] * float(a[i] == a[(i + 1) % 3]),
+        weight=lambda tprof: 1.0 + (tprof[0] == tprof[2]),
+    )
+    with mock.patch.object(bayesian, "EQ_TOL", tol):
+        got = find_bne(spec)
+        assert got == deviation_find_bne(spec)
+    assert len(got) == 2
+
+
+def test_budget_boundary():
+    spec = two_type_matching_game()
+    required = strategy_space_size(spec)
+    assert find_bne(spec, budget=required) == find_bne(spec)
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        find_bne(spec, budget=required - 1)
+    assert info.value.required == required

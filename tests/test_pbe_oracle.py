@@ -77,7 +77,8 @@ def _assert_verify_pbe_matches_reference(spec, rule):
             tuple((s, signal_posterior(spec, sender_map, s, rule)) for s in spec.signals)
         )
         reply = tuple((s, receiver_best_response(spec, b)[0]) for s, b in beliefs.by_signal)
-        profile = PBEResult(tuple(sender_map.items()), reply, beliefs, "-")
+        kind = signaling._classify(spec, sender_map)
+        profile = PBEResult(tuple(sender_map.items()), reply, beliefs, kind)
         deviates = pbe_reference._sender_deviation_exists(spec, sender_map, dict(reply))
         assert verify_pbe(spec, profile, rule) is not deviates
 
@@ -112,6 +113,22 @@ def test_each_belief_is_computed_once_per_key(monkeypatch, honeypot_spec):
     # {real} at weak, {honeypot} at hardened, then off path at weak. The
     # per-profile loop calls it for 4 sender profiles x 2 signals.
     assert calls == ["weak", "hardened", "weak", "hardened", "weak"]
+
+
+@pytest.mark.parametrize("rule", OFF_PATH_RULES)
+def test_belief_systems_are_built_only_for_equilibrium_profiles(monkeypatch, honeypot_spec, rule):
+    built = []
+    belief_system = signaling.BeliefSystem
+
+    def counting(by_signal):
+        built.append(by_signal)
+        return belief_system(by_signal)
+
+    monkeypatch.setattr(signaling, "BeliefSystem", counting)
+    results = find_pbe(honeypot_spec, rule)
+    # 4 sender profiles; under "prior" the two pooling ones are equilibria.
+    assert len(built) == len({r.sender_strategy for r in results}) == (2 if rule == "prior" else 0)
+    _assert_same_results(results, pbe_reference.find_pbe(honeypot_spec, rule))
 
 
 def test_zero_prior_sender_does_not_put_a_signal_on_path():

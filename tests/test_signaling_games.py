@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ztsim.errors import EnumerationBudgetExceeded, ValidationError
@@ -163,6 +165,14 @@ def test_find_pbe_budget_error(honeypot_spec):
         find_pbe(honeypot_spec, budget=3)
 
 
+def test_find_pbe_budget_boundary(honeypot_spec):
+    required = 2**2 * 2**2  # signals^types * actions^signals
+    assert find_pbe(honeypot_spec, "prior", budget=required) == find_pbe(honeypot_spec, "prior")
+    with pytest.raises(EnumerationBudgetExceeded) as info:
+        find_pbe(honeypot_spec, budget=required - 1)
+    assert info.value.required == required
+
+
 def test_verify_pbe_rejects_tampered_result(honeypot_spec):
     results = find_pbe(honeypot_spec, off_path_rule="prior")
     good = results[0]
@@ -173,6 +183,51 @@ def test_verify_pbe_rejects_tampered_result(honeypot_spec):
         classification=good.classification,
     )
     assert not verify_pbe(honeypot_spec, bad, off_path_rule="prior")
+
+
+def _pooling_on_weak(spec):
+    result = find_pbe(spec, off_path_rule="prior")[0]
+    assert result.sender_strategy == (("real", "weak"), ("honeypot", "weak"))
+    assert verify_pbe(spec, result, off_path_rule="prior")
+    return result
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"receiver_strategy": (("weak", "attack"),)},
+        {"receiver_strategy": (("weak", "attack"), ("hardened", "attack"), ("loud", "attack"))},
+        {"receiver_strategy": (("weak", "attack"), ("hardened", "probe"))},
+        {"sender_strategy": (("real", "loud"), ("honeypot", "weak"))},
+        {"sender_strategy": (("real", "weak"),)},
+        {"sender_strategy": (("real", "weak"), ("honeypot", "weak"), ("decoy", "weak"))},
+    ],
+    ids=[
+        "receiver_omits_signal",
+        "receiver_names_undeclared_signal",
+        "undeclared_action",
+        "sender_names_undeclared_signal",
+        "sender_omits_type",
+        "undeclared_type",
+    ],
+)
+def test_verify_pbe_rejects_malformed_result(honeypot_spec, change):
+    bad = dataclasses.replace(_pooling_on_weak(honeypot_spec), **change)
+    assert verify_pbe(honeypot_spec, bad, off_path_rule="prior") is False
+
+
+def test_verify_pbe_rejects_result_without_a_belief_at_a_signal(honeypot_spec):
+    good = _pooling_on_weak(honeypot_spec)
+    beliefs = dataclasses.replace(good.beliefs, by_signal=good.beliefs.by_signal[:1])
+    bad = dataclasses.replace(good, beliefs=beliefs)
+    assert verify_pbe(honeypot_spec, bad, off_path_rule="prior") is False
+
+
+def test_verify_pbe_rejects_wrong_classification(honeypot_spec):
+    good = _pooling_on_weak(honeypot_spec)
+    for label in ("separating", "hybrid"):
+        bad = dataclasses.replace(good, classification=label)
+        assert verify_pbe(honeypot_spec, bad, off_path_rule="prior") is False
 
 
 def test_spec_validation():
