@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the package, and the bool check every
-model applies to the numbers it takes from documents."""
+"""Exception hierarchy shared across the package, and the two rules every
+model applies to what it takes from documents: `real` for numbers and
+`labels` for identifier lists."""
+import math
+import numbers
 
 
 class ZtsimError(Exception):
@@ -16,12 +19,30 @@ class ValidationError(ZtsimError):
         super().__init__(reason if key == "-" else f"{key}: {reason}")
 
 
-def reject_bool(value, key):
-    """Return `value` unless it is a bool: YAML reads true/false as bools,
-    which Python would silently take as the numbers 1 and 0."""
-    if isinstance(value, bool):
-        raise ValidationError(f"expected a number, got {value!r}", key)
-    return value
+def real(value, key):
+    """`value` as a float; it must be a finite real number and not a bool.
+    YAML reads true/false as bools, which Python would take as 1 and 0, and
+    .nan/.inf as floats that no model can compare or sum."""
+    # The exact-type test first: the ABC check alone is far slower.
+    if type(value) in (float, int) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int too large for a float
+            pass
+    raise ValidationError(f"must be a finite number, got {value!r}", key)
+
+
+def labels(values, key):
+    """`values` as a tuple of identifiers: non-empty, none repeated."""
+    values = tuple(values)
+    if not values:
+        raise ValidationError("must be non-empty", key)
+    if len(set(values)) != len(values):
+        raise ValidationError("identifiers must be unique", key)
+    return values
 
 
 class ZeroProbabilityObservation(ZtsimError):

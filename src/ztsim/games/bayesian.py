@@ -7,7 +7,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError, reject_bool
+from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError, labels, real
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -25,27 +25,19 @@ class BayesianGameSpec:
     utilities: dict  # player -> {(action profile, type profile): utility}
 
     def __post_init__(self):
-        object.__setattr__(self, "players", tuple(self.players))
+        object.__setattr__(self, "players", labels(self.players, "players"))
         object.__setattr__(self, "types", {p: tuple(v) for p, v in self.types.items()})
         object.__setattr__(self, "actions", {p: tuple(v) for p, v in self.actions.items()})
-        prior = {k: float(reject_bool(v, "prior")) for k, v in self.prior.items()}
+        prior = {k: real(v, "prior") for k, v in self.prior.items()}
         utilities = {
-            p: {k: float(reject_bool(u, f"utilities.{p}")) for k, u in v.items()}
+            p: {k: real(u, f"utilities.{p}") for k, u in v.items()}
             for p, v in self.utilities.items()
         }
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "utilities", utilities)
-        if not self.players:
-            raise ValidationError("at least one player required", "players")
-        if len(set(self.players)) != len(self.players):
-            raise ValidationError("identifiers must be unique", "players")
         for p in self.players:
             for name in ("types", "actions"):
-                labels = getattr(self, name).get(p)
-                if not labels:
-                    raise ValidationError(f"player {p!r} has no {name}", f"{name}.{p}")
-                if len(set(labels)) != len(labels):
-                    raise ValidationError("identifiers must be unique", f"{name}.{p}")
+                labels(getattr(self, name).get(p, ()), f"{name}.{p}")
         total = 0.0
         for profile, prob in self.prior.items():
             if len(profile) != len(self.players):
@@ -56,8 +48,8 @@ class BayesianGameSpec:
                         f"type profile {profile!r} names undeclared type {t!r} of player {p!r}",
                         "prior",
                     )
-            if prob < 0 or not math.isfinite(prob):
-                raise ValidationError(f"{profile!r} must have a finite probability >= 0", "prior")
+            if prob < 0:
+                raise ValidationError(f"{profile!r} must have a probability >= 0", "prior")
             total += prob
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"joint type prior sums to {total}, expected 1", "prior")
@@ -72,9 +64,6 @@ class BayesianGameSpec:
 
     def action_profiles(self):
         return itertools.product(*(self.actions[p] for p in self.players))
-
-    def prior_prob(self, tprofile):
-        return self.prior.get(tuple(tprofile), 0.0)
 
     def marginal(self, player, ptype):
         i = self.players.index(player)
@@ -113,12 +102,6 @@ class BayesianStrategy:
 
     def as_dict(self):
         return {p: dict(tmap) for p, tmap in self.choices}
-
-    def action(self, player, ptype):
-        for p, tmap in self.choices:
-            if p == player:
-                return dict(tmap)[ptype]
-        raise KeyError(player)
 
 
 def bayes_expected_utility(spec: BayesianGameSpec, strategy, player, ptype) -> float:

@@ -5,11 +5,11 @@ best-response dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CertificateError, ValidationError, reject_bool
+from ..errors import CertificateError, ValidationError, labels, real
 from .simplex import solve_lp
 
 CHECK_TOL = 1e-9
@@ -38,14 +38,12 @@ def _default_labels(prefix, n):
 
 
 def _check_matrices(game, *names):
-    """Normalise the payoff matrices `names` of `game` in place: float rows,
-    at least 1x1, all of one rectangular shape, finite non-bool entries. Then
-    default the row and column labels and check one label per row and column."""
+    """Normalise the payoff matrices `names` of `game` in place: rows of
+    `real` entries, at least 1x1, all of one rectangular shape. Then default
+    the row and column labels and check one unique label per row and column."""
     shape = None
     for name in names:
-        rows = tuple(
-            tuple(float(reject_bool(v, name)) for v in row) for row in getattr(game, name)
-        )
+        rows = tuple(tuple(real(v, name) for v in row) for row in getattr(game, name))
         if not rows or not rows[0]:
             raise ValidationError("payoff matrix must be at least 1x1", name)
         if len({len(r) for r in rows}) != 1:
@@ -53,15 +51,12 @@ def _check_matrices(game, *names):
         if shape not in (None, (len(rows), len(rows[0]))):
             raise ValidationError(f"shape must match {names[0]}", name)
         shape = (len(rows), len(rows[0]))
-        bad = [v for row in rows for v in row if not math.isfinite(v)]
-        if bad:
-            raise ValidationError(f"payoff entries must be finite, got {bad[0]}", name)
         object.__setattr__(game, name, rows)
     for name, prefix, n in (("row_labels", "r", shape[0]), ("col_labels", "c", shape[1])):
-        labels = tuple(getattr(game, name)) or _default_labels(prefix, n)
-        if len(labels) != n:
+        ids = labels(tuple(getattr(game, name)) or _default_labels(prefix, n), name)
+        if len(ids) != n:
             raise ValidationError("label lengths must match matrix dimensions", name)
-        object.__setattr__(game, name, labels)
+        object.__setattr__(game, name, ids)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,9 @@ with a configurable off-path belief rule.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..errors import EnumerationBudgetExceeded, ValidationError, reject_bool
+from ..errors import EnumerationBudgetExceeded, ValidationError, labels, real
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -28,17 +27,11 @@ class SignalingGameSpec:
     receiver_utility: dict  # (action, type) -> utility
 
     def __post_init__(self):
-        object.__setattr__(self, "types", tuple(self.types))
-        object.__setattr__(self, "signals", tuple(self.signals))
-        object.__setattr__(self, "receiver_actions", tuple(self.receiver_actions))
-        for name in ("prior", "sender_utility", "receiver_utility"):
-            table = {k: float(reject_bool(v, name)) for k, v in getattr(self, name).items()}
-            object.__setattr__(self, name, table)
-        if not self.types or not self.signals or not self.receiver_actions:
-            raise ValidationError("types, signals, and receiver actions must be non-empty")
         for name in ("types", "signals", "receiver_actions"):
-            if len(set(getattr(self, name))) != len(getattr(self, name)):
-                raise ValidationError("identifiers must be unique", name)
+            object.__setattr__(self, name, labels(getattr(self, name), name))
+        for name in ("prior", "sender_utility", "receiver_utility"):
+            table = {k: real(v, name) for k, v in getattr(self, name).items()}
+            object.__setattr__(self, name, table)
         total = sum(self.prior.get(t, 0.0) for t in self.types)
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"sender type prior sums to {total}, expected 1", "prior")

@@ -78,5 +78,6 @@ def solve_lp(c, A, b):
         degenerate = degenerate + 1 if step <= TOL else 0
         _pivot(T, basis, int(leave), enter)
     x = np.zeros(n + m)
-    x[basis] = T[:m, -1]
+    # Rounding in the row updates can leave a basic value a few ulps below 0.
+    x[basis] = np.maximum(T[:m, -1], 0.0)
     return x[:n], float(T[m, -1]), T[m, n:-1].copy()

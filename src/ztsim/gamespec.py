@@ -8,7 +8,7 @@ import itertools
 
 import yaml
 
-from .errors import ScenarioFormatError, reject_bool
+from .errors import ScenarioFormatError, real
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from .scenario import SCHEMA_VERSION, _load_yaml, _require, _section
 
@@ -72,16 +72,16 @@ def _parse_bayesian(body):
     prior = {}
     for i, entry in enumerate(_require(body, "bayesian_game", "prior", list)):
         tmap = _require(entry, f"bayesian_game.prior[{i}]", "types", dict)
-        p = _require(entry, f"bayesian_game.prior[{i}]", "p", (int, float))
+        p = _require(entry, f"bayesian_game.prior[{i}]", "p")
         try:
             profile = tuple(tmap[pl] for pl in players)
         except KeyError as exc:
             raise ScenarioFormatError(
                 "bayesian_game", f"prior[{i}].types", f"missing player {exc}"
             ) from exc
-        # Entries naming the same type profile add up, so a bool must be caught
+        # Entries naming the same type profile add up, so each must be checked
         # here: the model only sees the sum.
-        prior[profile] = prior.get(profile, 0.0) + reject_bool(p, f"prior[{i}].p")
+        prior[profile] = prior.get(profile, 0.0) + real(p, f"prior[{i}].p")
     utilities = {p: {} for p in players}
     for i, entry in enumerate(_require(body, "bayesian_game", "utilities", list)):
         section = f"bayesian_game.utilities[{i}]"

@@ -134,8 +134,8 @@ def parse_scenario(text) -> Scenario:
     with _section("policy"):
         pdoc = _require(doc, "scenario", "policy", dict)
         policy = PolicyConfig(
-            grant_threshold=_require(pdoc, "policy", "grant_threshold", (int, float)),
-            deny_threshold=_require(pdoc, "policy", "deny_threshold", (int, float)),
+            grant_threshold=_require(pdoc, "policy", "grant_threshold"),
+            deny_threshold=_require(pdoc, "policy", "deny_threshold"),
             decay_rate=pdoc.get("decay_rate", 0.0),
             observe_while_denied=pdoc.get("observe_while_denied", False),
         )

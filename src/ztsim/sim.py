@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import trust
-from .errors import ValidationError, ZeroProbabilityObservation, reject_bool
+from .errors import ValidationError, ZeroProbabilityObservation, real
 from .trust import (
     BehaviorModel,
     EvidenceModel,
@@ -54,7 +54,7 @@ class PolicyConfig:
 
     def __post_init__(self):
         for name in ("grant_threshold", "deny_threshold", "decay_rate"):
-            object.__setattr__(self, name, float(reject_bool(getattr(self, name), name)))
+            object.__setattr__(self, name, real(getattr(self, name), name))
         if not isinstance(self.observe_while_denied, bool):
             raise ValidationError("must be true or false", "observe_while_denied")
         if not (0.0 <= self.deny_threshold <= self.grant_threshold <= 1.0):
@@ -63,7 +63,7 @@ class PolicyConfig:
                 f"<= grant ({self.grant_threshold}) <= 1",
                 "deny_threshold",
             )
-        if not self.decay_rate >= 0:  # NaN fails too
+        if self.decay_rate < 0:
             raise ValidationError(f"must be non-negative, got {self.decay_rate}", "decay_rate")
 
 
@@ -454,14 +454,13 @@ def run(scenario: Scenario, seed=None) -> SimTrace:
     return next(run_seeds(scenario, [scenario.seed if seed is None else seed]))
 
 
-def compute_metrics(trace: SimTrace, policy: PolicyConfig = None) -> Metrics:
+def compute_metrics(trace: SimTrace) -> Metrics:
     """Per-entity detection time, false-lockout flag, final score, and the
     full after-score trajectory, read from the trace's columns."""
     if not trace.scenario.entities:
         raise ValidationError("trace is empty")
-    policy = policy or trace.scenario.policy
     trusted = trace.scenario.space.trusted
-    detected = trace.after < policy.deny_threshold
+    detected = trace.after < trace.scenario.policy.deny_threshold
     first = (detected.argmax(axis=0) + 1).tolist()
     ever = detected.any(axis=0).tolist()
     denied = (trace.decision == _DENY_CODE).any(axis=0).tolist()

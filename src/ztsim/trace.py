@@ -10,17 +10,6 @@ from .sim import DECISIONS, Metrics, SimTrace, StepRecord
 
 TRACE_SCHEMA_VERSION = 1
 
-STEP_KEYS = (
-    "schema_version",
-    "tick",
-    "entity",
-    "decision",
-    "action",
-    "evidence",
-    "score_before",
-    "score_after",
-)
-
 
 def step_record_to_dict(record: StepRecord) -> dict:
     return {

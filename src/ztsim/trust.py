@@ -16,26 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPriorSources, ValidationError, ZeroProbabilityObservation, reject_bool
+from .errors import NoPriorSources, ValidationError, ZeroProbabilityObservation, labels, real
 
 PROB_TOL = 1e-9
 
 
-def _check_prob(p, key):
-    if not (isinstance(p, (int, float)) and math.isfinite(p)):
-        raise ValidationError(f"must be a finite number, got {p!r}", key)
+def _prob(p, key):
+    """A probability: a finite number within PROB_TOL of [0, 1], returned as
+    a float clamped into [0, 1]."""
+    p = real(p, key)
     if p < -PROB_TOL or p > 1 + PROB_TOL:
         raise ValidationError(f"must lie in [0, 1], got {p}", key)
-
-
-def _clamp(p):
-    return min(1.0, max(0.0, float(p)))
-
-
-def _doc_prob(p, key):
-    """A probability taken from a document, as a float clamped into [0, 1]."""
-    _check_prob(reject_bool(p, key), key)
-    return _clamp(p)
+    return min(1.0, max(0.0, p))
 
 
 @dataclass(frozen=True)
@@ -46,12 +38,8 @@ class TypeSpace:
     trusted: frozenset
 
     def __post_init__(self):
-        object.__setattr__(self, "types", tuple(self.types))
+        object.__setattr__(self, "types", labels(self.types, "types"))
         object.__setattr__(self, "trusted", frozenset(self.trusted))
-        if not self.types:
-            raise ValidationError("must be non-empty", "types")
-        if len(set(self.types)) != len(self.types):
-            raise ValidationError("identifiers must be unique", "types")
         extra = self.trusted - set(self.types)
         if extra:
             raise ValidationError(f"unknown types {sorted(extra)}", "trusted")
@@ -70,10 +58,10 @@ class TrustState:
             raise ValidationError("timestamp must be non-negative")
         mass, total = {}, 0.0
         for t, p in dict(self.mass).items():
-            # The passing case of _check_prob, tested without building the key.
-            if not (isinstance(p, (int, float)) and -PROB_TOL <= p <= 1 + PROB_TOL):
-                _check_prob(p, f"mass[{t!r}]")  # raises, naming the entry
-            mass[t] = _clamp(p)
+            # The passing case of _prob for a float, tested without building the key.
+            if type(p) is not float or not -PROB_TOL <= p <= 1 + PROB_TOL:
+                p = _prob(p, f"mass[{t!r}]")
+            mass[t] = min(1.0, max(0.0, p))
             total += mass[t]
         object.__setattr__(self, "mass", mass)
         if abs(total - 1.0) > PROB_TOL:
@@ -84,15 +72,13 @@ def _check_rows(likelihood, columns, name, what):
     """Check a likelihood table keyed by (*row, column): every key names a
     declared column, and every row is a probability distribution over all the
     columns, summed in declared order. Returns the table with float values."""
-    if not columns or len(set(columns)) != len(columns):
-        raise ValidationError(f"{what}s must be non-empty and unique", name)
     table, rows = {}, {}
     for k, p in likelihood.items():
         row, col = k[:-1], k[-1]
         key = ".".join(map(str, (name, *row)))
         if col not in columns:
             raise ValidationError(f"unknown {what} {col!r}", key)
-        table[k] = _doc_prob(p, f"{key}.{col}")
+        table[k] = _prob(p, f"{key}.{col}")
         rows[row] = key
     for row, key in rows.items():
         total = 0.0
@@ -113,7 +99,7 @@ class BehaviorModel:
     likelihood: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "actions", tuple(self.actions))
+        object.__setattr__(self, "actions", labels(self.actions, "actions"))
         object.__setattr__(
             self, "likelihood", _check_rows(self.likelihood, self.actions, "behavior", "action")
         )
@@ -134,7 +120,9 @@ class EvidenceModel:
     likelihood: dict
 
     def __post_init__(self):
-        object.__setattr__(self, "evidence_values", tuple(self.evidence_values))
+        object.__setattr__(
+            self, "evidence_values", labels(self.evidence_values, "evidence_values")
+        )
         object.__setattr__(
             self,
             "likelihood",
@@ -244,15 +232,15 @@ def compose_prior(sources) -> float:
     total_w = 0.0
     total = 0.0
     for j, (score, weight) in enumerate(sources):
-        score = _doc_prob(score, f"prior[{j}].score")
-        weight = float(reject_bool(weight, f"prior[{j}].weight"))
+        score = _prob(score, f"prior[{j}].score")
+        weight = real(weight, f"prior[{j}].weight")
         if weight < 0:
             raise ValidationError(f"must be non-negative, got {weight}", f"prior[{j}].weight")
         total += score * weight
         total_w += weight
     if total_w <= 0:
         raise NoPriorSources("all source weights are zero", "prior")
-    return _clamp(total / total_w)
+    return min(1.0, max(0.0, total / total_w))
 
 
 def attenuate(state: TrustState, elapsed, rate, baseline: TrustState) -> TrustState:
@@ -283,7 +271,7 @@ def uniform_state(space: TypeSpace, timestamp: int = 0) -> TrustState:
 def state_from_score(score, space: TypeSpace, timestamp: int = 0) -> TrustState:
     """Spread a scalar trust score uniformly over the trusted types and the
     remainder over the untrusted ones."""
-    _check_prob(score, "trust score")
+    score = _prob(score, "trust score")
     trusted = [t for t in space.types if t in space.trusted]
     untrusted = [t for t in space.types if t not in space.trusted]
     if not trusted and score > PROB_TOL:

@@ -262,23 +262,44 @@ REJECTED_VALUES = [
     ("game", "negligent, auditor: generic}, p: 0.5}",
      "negligent, auditor: generic}, p: 0.5}\n    - {types: {insider: diligent, auditor: generic}, "
      "p: false}", "bayesian_game"),
+    ("game", "u: {insider: 3, auditor: 1}}", "u: {insider: .nan, auditor: 1}}",
+     "bayesian_game utilities.insider"),
+    ("game", "attack: {real: 2, honeypot: -3}", "attack: {real: 2, honeypot: .nan}",
+     "signaling_game receiver_utility"),
+    ("game", "prior: {real: 0.7, honeypot: 0.3}", "prior: {real: .nan, honeypot: 0.3}",
+     "signaling_game prior"),
+    ("scenario", "{score: 0.6, weight: 1.0}", "{score: 0.6, weight: .nan}",
+     "entities[1] prior[0].weight"),
+    ("scenario", "decay_rate: 0.01", "decay_rate: .inf", "policy decay_rate"),
+    ("game", "rock: {rock: 0,", "rock: {rock: '1',", "matrix_game payoff"),
+    ("game", "rock: {rock: 0,", "rock: {rock: 1" + "0" * 400 + ",", "matrix_game payoff"),
+    ("game", "row_labels: [rock, paper, scissors]", "row_labels: [rock, rock, scissors]",
+     "matrix_game row_labels"),
+    ("scenario", "grant_threshold: 0.8", "grant_threshold: high", "policy grant_threshold"),
+    ("game", "generic}, p: 0.5}", "generic}, p: half}", "bayesian_game prior[0].p"),
 ]
 
 
 @pytest.mark.parametrize(
-    "kind, old, new, section",
+    "kind, old, new, where",
     REJECTED_VALUES,
     ids=["horizon-bool", "decay-bool", "decay-nan", "grant-bool", "behavior-bool", "observe-string",
          "id-list", "seed-negative", "prior-negative-weight", "prior-zero-weights", "prior-score-above-one",
-         "payoff-bool", "bayesian-prior-bool", "bayesian-prior-bool-repeated"],
+         "payoff-bool", "bayesian-prior-bool", "bayesian-prior-bool-repeated", "utility-nan",
+         "receiver-utility-nan", "signaling-prior-nan", "prior-weight-nan", "decay-inf",
+         "payoff-quoted", "payoff-huge-int", "row-labels-repeated", "grant-word",
+         "bayesian-prior-word"],
 )
 def test_rejected_document_value_exit_one(
-    scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, section
+    scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where
 ):
+    """`where` is the section the diagnostic names, then optionally the key."""
     if kind == "scenario":
         source = scenarios_dir / "apt_stealth.yaml"
     elif "rock" in old:
         source = game_specs_dir / "rock_paper_scissors.yaml"
+    elif "honeypot" in old:
+        source = game_specs_dir / "honeypot_signaling.yaml"
     else:
         source = game_specs_dir / "insider_matching.yaml"
     text = source.read_text()
@@ -289,4 +310,5 @@ def test_rejected_document_value_exit_one(
     code, out, err = run_cli(["run" if kind == "scenario" else "solve", flag, str(path)], capsys)
     assert code == EXIT_VALIDATION
     assert out == ""
-    assert err.startswith(f"error: [{section}] ")
+    section, _, key = where.partition(" ")
+    assert err.startswith(f"error: [{section}] {key}")

@@ -1,8 +1,9 @@
 """Fuzz the document parsers with mutated copies of the shipped YAML files.
 
 Each example deletes or renames keys, or swaps values for junk (None, bools,
-strings, lists, mappings, negatives). Parsing must either succeed or raise
-ScenarioFormatError, and the CLI must exit 0 or 1 without a traceback.
+strings, lists, mappings, negatives, NaN and infinities). Parsing must either
+succeed or raise ScenarioFormatError, and the CLI must exit 0 or 1 without a
+traceback.
 """
 import contextlib
 import copy
@@ -24,7 +25,10 @@ SHIPPED = [("run", p) for p in sorted((REPO_ROOT / "scenarios").glob("*.yaml"))]
 SHIPPED += [("solve", p) for p in sorted((REPO_ROOT / "game_specs").glob("*.yaml"))]
 DOCS = [(command, yaml.safe_load(p.read_text(encoding="utf-8"))) for command, p in SHIPPED]
 PARSE = {"run": parse_scenario, "solve": parse_game}
-JUNK = (None, True, False, "junk", "0.5", "false", [], [1, 2], {}, {"a": 1}, -1, -0.5)
+JUNK = (
+    None, True, False, "junk", "0.5", "false", [], [1, 2], {}, {"a": 1}, -1, -0.5,
+    float("nan"), float("inf"), float("-inf"),
+)
 
 
 def _paths(node, prefix=()):
@@ -59,7 +63,9 @@ def mutated_documents(draw):
     return command, yaml.safe_dump(doc, sort_keys=False)
 
 
-@settings(max_examples=300, deadline=None)
+# Never fewer examples than the active profile asks for, so a deeper profile
+# (`--hypothesis-profile=ci`) deepens these tests too.
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(mutated_documents())
 def test_parse_succeeds_or_raises_format_error(case):
     command, text = case
@@ -69,7 +75,7 @@ def test_parse_succeeds_or_raises_format_error(case):
         pass
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=max(60, settings.default.max_examples), deadline=None)
 @given(mutated_documents())
 def test_cli_exits_zero_or_one_without_traceback(case):
     command, text = case

@@ -245,16 +245,15 @@ def test_malformed_yaml_is_a_format_error(monkeypatch, fallback, parse):
     assert "not valid YAML" in str(info.value)
 
 
-@pytest.mark.parametrize(
-    "cell, cause", [("abc", ValueError), ("[1, 2]", TypeError)], ids=["string", "list"]
-)
-def test_non_numeric_payoff_cell_is_a_format_error(game_specs_dir, cell, cause):
+@pytest.mark.parametrize("cell", ["abc", "[1, 2]"], ids=["string", "list"])
+def test_non_numeric_payoff_cell_is_a_format_error(game_specs_dir, cell):
     text = (game_specs_dir / "rock_paper_scissors.yaml").read_text()
     text = text.replace("rock: {rock: 0,", f"rock: {{rock: {cell},", 1)
     with pytest.raises(ScenarioFormatError) as info:
         parse_game(text)
     assert info.value.section == "matrix_game"
-    assert isinstance(info.value.__cause__, cause)
+    assert info.value.key == "payoff"
+    assert info.value.reason.startswith("must be a finite number")
 
 
 @pytest.mark.parametrize(

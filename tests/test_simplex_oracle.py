@@ -129,6 +129,17 @@ def test_oracle_covers_every_outcome():
         _assert_matches_oracle({k: np.asarray(v, dtype=float) for k, v in lp.items()})
 
 
+def test_rounding_leaves_no_negative_primal_value():
+    """A zero-sum value LP on which rounding once left a basic value at
+    -2.3e-17; the oracle tests require x >= 0 exactly."""
+    M = np.array([
+        [3, 1, 3, 3, 3, 3, 3], [3, 2, 3, 3, 3, 3, 3], [3, 3, 5, 1, 3, 2, 2],
+        [3, 3, 2, 3, 3, 3, 3], [0, 3, 6, 3, 3, 3, 0], [6, 3, 4, 3, 3, 1, 4],
+    ], dtype=float)
+    lp = {"c": np.ones(7), "A": 1.0 + M / 6.0, "b": np.ones(6)}
+    _assert_matches_oracle(lp)
+
+
 def test_beale_cycling_lp_terminates_through_the_bland_fallback():
     with counted_pivots(limit=1000) as pivots:
         x, value, _ = simplex.solve_lp(BEALE["c"], BEALE["A"], BEALE["b"])

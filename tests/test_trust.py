@@ -348,6 +348,7 @@ def test_uniform_state():
     ({"T": math.inf, "M": 0.5}, "mass['T']: must be a finite number, got inf"),
     ({"T": "0.5", "M": 0.5}, "mass['T']: must be a finite number, got '0.5'"),
     ({"T": 0.5, "M": 0.4}, "trust mass must sum to 1, got 0.9"),
+    ({"T": True, "M": 0.0}, "mass['T']: must be a finite number, got True"),
 ])
 def test_trust_state_rejects_mass_naming_the_entry(mass, message):
     with pytest.raises(ValidationError) as info:
