@@ -36,12 +36,15 @@ def real(value, key):
 
 
 def labels(values, key):
-    """`values` as a tuple of identifiers: non-empty, none repeated."""
+    """`values` as a tuple of identifiers: non-empty, hashable, none repeated."""
     values = tuple(values)
     if not values:
         raise ValidationError("must be non-empty", key)
-    if len(set(values)) != len(values):
-        raise ValidationError("identifiers must be unique", key)
+    try:
+        if len(set(values)) != len(values):
+            raise ValidationError("identifiers must be unique", key)
+    except TypeError as exc:  # a YAML list or mapping used as a label
+        raise ValidationError(f"identifiers must be hashable: {exc}", key) from None
     return values
 
 

@@ -8,7 +8,7 @@ import itertools
 
 import yaml
 
-from .errors import ScenarioFormatError, real
+from .errors import ScenarioFormatError, labels, real
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from .scenario import SCHEMA_VERSION, _load_yaml, _require, _section
 
@@ -59,14 +59,14 @@ def _cells(table, *axes):
 
 
 def _parse_matrices(body, kind, cls, *names):
-    rows = _require(body, kind, "row_labels", list)
-    cols = _require(body, kind, "col_labels", list)
+    # Labels key the document's tables, so they pass the model's rule first.
+    rows, cols = (labels(_require(body, kind, k, list), k) for k in ("row_labels", "col_labels"))
     tables = {name: _labeled_matrix(body, kind, name, rows, cols) for name in names}
     return cls(row_labels=rows, col_labels=cols, **tables)
 
 
 def _parse_bayesian(body):
-    players = _require(body, "bayesian_game", "players", list)
+    players = labels(_require(body, "bayesian_game", "players", list), "players")
     types = _require(body, "bayesian_game", "types", dict)
     actions = _require(body, "bayesian_game", "actions", dict)
     prior = {}
@@ -103,10 +103,11 @@ def _parse_bayesian(body):
 
 
 def _parse_signaling(body):
-    types = _require(body, "signaling_game", "types", list)
+    types, signals, ractions = (
+        labels(_require(body, "signaling_game", k, list), k)
+        for k in ("types", "signals", "receiver_actions")
+    )
     prior = _require(body, "signaling_game", "prior", dict)
-    signals = _require(body, "signaling_game", "signals", list)
-    ractions = _require(body, "signaling_game", "receiver_actions", list)
     return SignalingGameSpec(
         types=types,
         prior={t: prior.get(t, 0.0) for t in types},

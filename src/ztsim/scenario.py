@@ -8,9 +8,11 @@ checks only its structure; the constructors make every value check.
 """
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .errors import ScenarioFormatError, ValidationError
 from .sim import EntitySpec, PolicyConfig, Profile, Scenario
@@ -54,11 +56,58 @@ def _section(section):
         raise ScenarioFormatError(section, "-", f"{type(exc).__name__}: {exc}") from exc
 
 
-def _load_yaml(text, what):
-    # libyaml's loader when PyYAML was built with it; both build the same documents.
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_STR, _INT, _FLOAT, _MAP, _SEQ = ("tag:yaml.org,2002:" + t for t in ("str", "int", "float", "map", "seq"))
+# Forms that int() and float() read as PyYAML does; octal, `_`, base 60 and .inf are its own.
+_PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
+_PLAIN_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?").fullmatch
+
+
+def _build(node, loader):
+    """What `loader` constructs for `node`. Strings, decimals, and lists and
+    maps keyed by those are built here, memoized where the constructor looks,
+    so aliases stay shared; it builds the rest, such as maps with `<<` or `=`
+    keys. Not a closure: that would hold each document in a reference cycle."""
+    tag, value = node.tag, node.value
+    if type(node) is ScalarNode:
+        if tag == _STR:
+            return value
+        if tag == _INT and _PLAIN_INT(value):
+            return int(value)
+        if tag == _FLOAT and _PLAIN_FLOAT(value):
+            return float(value)
+    elif node in loader.constructed_objects:
+        return loader.constructed_objects[node]
+    elif tag == _SEQ and type(node) is SequenceNode:
+        data = loader.constructed_objects[node] = []
+        data.extend([_build(item, loader) for item in value])
+        return data
+    elif tag == _MAP and type(node) is MappingNode and all(
+        type(key) is ScalarNode and key.tag in (_STR, _INT, _FLOAT) for key, _ in value
+    ):
+        data = loader.constructed_objects[node] = {}
+        for key, item in value:
+            data[_build(key, loader)] = _build(item, loader)
+        return data
+    return loader.construct_object(node)
+
+
+def _parse_yaml(text):
+    """`yaml.load(text, Loader=cls)`, with libyaml's loader when PyYAML has it.
+    construct_document takes `_build`'s root and fills what it handed over."""
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
     try:
-        doc = yaml.load(text, Loader=loader)
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        _build(node, loader)
+        return loader.construct_document(node)
+    finally:
+        loader.dispose()
+
+
+def _load_yaml(text, what):
+    try:
+        doc = _parse_yaml(text)
     except yaml.YAMLError as exc:
         raise ScenarioFormatError(what, "-", f"not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):

@@ -277,6 +277,12 @@ REJECTED_VALUES = [
      "matrix_game row_labels"),
     ("scenario", "grant_threshold: 0.8", "grant_threshold: high", "policy grant_threshold"),
     ("game", "generic}, p: 0.5}", "generic}, p: half}", "bayesian_game prior[0].p"),
+    ("scenario", "types: [staff, apt]", "types: [[staff], apt]", "type_space types"),
+    ("game", "row_labels: [rock, paper, scissors]", "row_labels: [[rock], paper, scissors]",
+     "matrix_game row_labels"),
+    ("game", "players: [insider, auditor]", "players: [[insider], auditor]",
+     "bayesian_game players"),
+    ("game", "types: [real, honeypot]", "types: [[real], honeypot]", "signaling_game types"),
 ]
 
 
@@ -288,7 +294,8 @@ REJECTED_VALUES = [
          "payoff-bool", "bayesian-prior-bool", "bayesian-prior-bool-repeated", "utility-nan",
          "receiver-utility-nan", "signaling-prior-nan", "prior-weight-nan", "decay-inf",
          "payoff-quoted", "payoff-huge-int", "row-labels-repeated", "grant-word",
-         "bayesian-prior-word"],
+         "bayesian-prior-word", "types-unhashable", "row-labels-unhashable",
+         "players-unhashable", "signaling-types-unhashable"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

@@ -8,7 +8,7 @@ import yaml
 from ztsim.errors import ScenarioFormatError, TraceWriteError
 from ztsim.games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from ztsim.gamespec import load_game, parse_game, serialize_game
-from ztsim.scenario import _load_yaml, load_scenario, parse_scenario, serialize_scenario
+from ztsim.scenario import _load_yaml, _parse_yaml, load_scenario, parse_scenario, serialize_scenario
 from ztsim.sim import run
 from ztsim.trace import emit_trace, metrics_to_dict, step_record_to_dict
 
@@ -206,14 +206,15 @@ def test_chosen_loader_builds_the_pure_python_documents(path):
 
 
 def _spy_on_loaders(monkeypatch):
+    """Record the class of every YAML loader instantiated."""
     used = []
-    load = yaml.load
+    for cls in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
 
-    def spy(stream, Loader):
-        used.append(Loader)
-        return load(stream, Loader=Loader)
+        def spy(self, stream, init=cls.__init__):
+            used.append(type(self))
+            init(self, stream)
 
-    monkeypatch.setattr(yaml, "load", spy)
+        monkeypatch.setattr(cls, "__init__", spy)
     return used
 
 
@@ -233,6 +234,79 @@ def test_pure_python_fallback_parses_shipped_files(monkeypatch):
     assert [load_scenario(p) for p in SHIPPED_SCENARIOS] == scenarios
     assert [load_game(p) for p in SHIPPED_GAMES] == games
     assert set(used) == {yaml.SafeLoader}
+
+
+# Documents on both sides of every rule in `_build`: what it builds itself,
+# and what it hands to PyYAML's constructor (other number forms, merge and
+# value keys, unhashable keys, explicit and extra tags, recursive aliases).
+YAML_EDGE_CASES = {
+    "anchor-alias": "a: &x {k: [1, 2]}\nb: 2\nc: *x\n",
+    "merge-override": "base: &b {x: 1, y: 2}\nmerged: {<<: *b, y: 3}\n",
+    "value-key": "=: 2\n",
+    "duplicate-key": "a: 1\na: 2\n",
+    "sequence-key": "? [1, 2]\n: x\n",
+    "recursive-alias": "&r [1, *r]\n",
+    "recursive-omap": "&r !!omap [{k: *r}]\n",
+    "recursive-under-merge": "d: {<<: {}, c: &r {self: *r}}\n",
+    "empty": "",
+    "bare-scalar": "just text\n",
+    "explicit-float": "!!float 1\n",
+    "explicit-float-signs": "!!float +-1\n",
+    "set": "!!set {a, b}\n",
+    "omap": "!!omap [a: 1, b: 2]\n",
+    "pairs": "!!pairs [a: 1, a: 2]\n",
+    "binary": "!!binary aGVsbG8=\n",
+    "explicit-map": "!!map {a: 1}\n",
+    "explicit-seq": "!!seq [1, 2]\n",
+    "str-tag-on-map": "!!str {a: 1}\n",
+    "map-tag-on-seq": "!!map [1]\n",
+    "bool-null-keys": "~: 1\ntrue: 2\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "unclosed": "key: [1, 2\n",
+}
+YAML_EDGE_CASES.update(
+    (f"v: {value}", f"v: {value}\n")
+    for value in "0x1F 0o17 012 -012 00 -0 1_000 1:20 1_0.5 1:20.5 .inf -.INF -.nan 1e5 1.e+5"
+    " .5 +.5e-3 -0.0 +3 yes ~ 2001-12-14 '1.5' \"3\"".split()
+)
+YAML_INPUTS = [
+    pytest.param(path.read_text(encoding="utf-8"), id=path.name)
+    for path in SHIPPED_SCENARIOS + SHIPPED_GAMES
+    + sorted((REPO_ROOT / "perfbench" / "testdata").glob("*.yaml"))
+] + [pytest.param(text, id=name) for name, text in YAML_EDGE_CASES.items()]
+
+
+@pytest.fixture(params=["CSafeLoader", "SafeLoader"])
+def yaml_loader(request, monkeypatch):
+    """Each loader `_parse_yaml` can pick: SafeLoader once CSafeLoader is hidden."""
+    if request.param == "SafeLoader":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    return getattr(yaml, request.param)
+
+
+@pytest.mark.parametrize("text", YAML_INPUTS)
+def test_parse_yaml_builds_what_yaml_load_builds(yaml_loader, text):
+    try:
+        expected = yaml.load(text, Loader=yaml_loader)
+    except Exception as exc:
+        with pytest.raises(Exception) as info:
+            _parse_yaml(text)
+        assert type(info.value) is type(exc)
+        return
+    doc = _parse_yaml(text)
+    assert repr(doc) == repr(expected)
+    if "*r" not in text:  # == on a recursive document never ends
+        assert doc == expected
+
+
+def test_parse_yaml_keeps_aliases_shared(yaml_loader):
+    doc = _parse_yaml(YAML_EDGE_CASES["anchor-alias"])
+    assert doc["c"] is doc["a"]
+    assert doc["a"]["k"] == [1, 2]
+    recursive = _parse_yaml(YAML_EDGE_CASES["recursive-alias"])
+    assert recursive[1] is recursive
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["chosen", "fallback"])
