@@ -10,7 +10,6 @@ scenario seed (or its --seed/--seeds override); the CLI adds no entropy.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -27,10 +26,11 @@ from .games import (
 )
 from .gamespec import load_game
 from .scenario import load_scenario
-# cmd_run batches its seeds through run_seeds; `run` stays a name of this
-# module for code that wraps it here, such as perfbench/spans.py.
+# cmd_run batches seeds through run_seeds and writes metrics with metrics_text;
+# `run` and `metrics_to_dict` stay names here for code that wraps them, such as
+# perfbench/spans.py.
 from .sim import compute_metrics, run, run_seeds  # noqa: F401
-from .trace import emit_trace, metrics_to_dict, solver_record
+from .trace import emit_metrics, emit_trace, metrics_text, metrics_to_dict, solver_record  # noqa: F401
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -85,7 +85,7 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
 
     sweep = len(seeds) > 1
-    all_metrics = {}
+    chunks = []  # metrics text per seed, written once every seed has run
     try:
         for seed, trace in zip(seeds, run_seeds(scenario, seeds)):
             out_path = args.out
@@ -93,17 +93,16 @@ def cmd_run(args) -> int:
                 out_path = _seeded_path(out_path, seed)
             if out_path is not None or not sweep:
                 _write_trace(trace, out_path)
-            all_metrics[seed] = metrics_to_dict(compute_metrics(trace))
+            if args.metrics is not None:
+                chunks.append(metrics_text(trace, compute_metrics(trace)))
     except ZtsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
     if args.metrics is not None:
-        payload = all_metrics[seeds[0]] if not sweep else {"seeds": all_metrics}
         try:
             with open(args.metrics, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
+                emit_metrics(chunks, fh, seeds if sweep else None)
         except OSError as exc:
             print(f"error: cannot write metrics: {exc}", file=sys.stderr)
             return EXIT_RUNTIME

@@ -108,7 +108,8 @@ def _parse_yaml(text):
 def _load_yaml(text, what):
     try:
         doc = _parse_yaml(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
+        # PyYAML's constructors raise the others on a tag they cannot read: `!!float abc`.
         raise ScenarioFormatError(what, "-", f"not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError(what, "-", "top level must be a mapping")

@@ -187,6 +187,11 @@ class SimTrace:
                 ))
         return tuple(out)
 
+    # The repr of each score, [tick][entity], which is the text json.dumps
+    # writes for it: the trace lines and the metrics trajectories share it.
+    before_text = cached_property(lambda self: [list(map(repr, r)) for r in self.before.tolist()])
+    after_text = cached_property(lambda self: [list(map(repr, r)) for r in self.after.tolist()])
+
     @cached_property
     def final(self) -> SimState:
         h = self.scenario.horizon
@@ -378,8 +383,9 @@ class CompiledScenario:
 
     def run(self, seeds):
         """Run `seeds` as one batch of lanes, lane = seed index * entities +
-        entity index. Returns the traces of the seeds before the first seed
-        that raised, and that seed's exception (None if none raised)."""
+        entity index. Returns an iterator over the traces of the seeds before
+        the first seed that raised, built one at a time so each can be freed
+        once used, and that seed's exception (None if none raised)."""
         sc, policy = self.scenario, self.scenario.policy
         s_count, n, h = len(seeds), len(self.ids), sc.horizon
         lanes = np.arange(s_count * n)
@@ -425,11 +431,11 @@ class CompiledScenario:
             before[tick - 1] = b
             after[tick - 1] = trust._score_rows(mass, self.n_trusted)
         done = min(errors, default=s_count)
-        traces = [
+        traces = (
             SimTrace(sc, self, *(x[:, s * n : (s + 1) * n] for x in (decision, action, evidence, before, after)),
                      mass[s * n : (s + 1) * n])
             for s in range(done)
-        ]
+        )
         return traces, errors.get(done)
 
 

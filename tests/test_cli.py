@@ -6,6 +6,9 @@ import pytest
 from ztsim.cli import EXIT_BUDGET, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from ztsim.games import BayesianGameSpec
 from ztsim.gamespec import serialize_game
+from ztsim.scenario import load_scenario
+from ztsim.sim import compute_metrics, run
+from ztsim.trace import metrics_to_dict, step_record_to_dict
 
 
 def run_cli(argv, capsys):
@@ -81,6 +84,29 @@ def test_run_seed_sweep_writes_per_seed_files(scenarios_dir, tmp_path, capsys):
         assert (tmp_path / f"trace.seed{seed}.jsonl").exists()
     doc = json.loads(met.read_text())
     assert set(doc["seeds"]) == {"3", "4", "5"} or set(doc["seeds"]) == {3, 4, 5}
+
+
+def test_run_sweep_bytes_match_json_with_non_ascii_id(scenarios_dir, tmp_path, capsys):
+    # The trace writes ids as UTF-8, the metrics document escapes them to ASCII.
+    text = (scenarios_dir / "apt_stealth.yaml").read_text(encoding="utf-8")
+    assert "id: bob" in text
+    path = tmp_path / "ids.yaml"
+    path.write_text(text.replace("id: bob", 'id: "b\u00f8b \\"\U0001f6e1\\" \\\\"', 1), encoding="utf-8")
+    scenario = load_scenario(path)
+    assert 'bøb "\U0001f6e1" \\' in {e.id for e in scenario.entities}
+    out, met = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
+    code, _, err = run_cli(
+        ["run", "--scenario", str(path), "--seeds", "1..3", "--out", str(out), "--metrics", str(met)],
+        capsys,
+    )
+    assert code == EXIT_OK, err
+    docs = {}
+    for seed in (1, 2, 3):
+        trace = run(scenario, seed)
+        lines = [json.dumps(step_record_to_dict(r), ensure_ascii=False) + "\n" for r in trace.records]
+        assert (tmp_path / f"trace.seed{seed}.jsonl").read_bytes() == "".join(lines).encode("utf-8")
+        docs[seed] = metrics_to_dict(compute_metrics(trace))
+    assert met.read_bytes() == (json.dumps({"seeds": docs}, indent=2) + "\n").encode("ascii")
 
 
 def test_run_trace_to_stdout_is_jsonl(scenarios_dir, capsys):
@@ -221,6 +247,27 @@ def test_unwritable_output_path_exit_two(scenarios_dir, game_specs_dir, tmp_path
     assert code == EXIT_RUNTIME
     assert out == ""
     assert err.startswith("error: ") and str(missing) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag, source, old, new", [
+    ("run", "--scenario", "apt_stealth.yaml", "grant_threshold: 0.8", "grant_threshold: !!float abc"),
+    ("solve", "--game", "rock_paper_scissors.yaml", "schema_version: 1", "schema_version: 1\nx: !!int zz"),
+    ("run", "--scenario", "apt_stealth.yaml", "horizon: 40", "horizon: !!timestamp abc"),
+    ("solve", "--game", "rock_paper_scissors.yaml", "schema_version: 1", "schema_version: 1\nx: !!bool maybe"),
+], ids=["run-float-tag", "solve-int-tag", "run-timestamp-tag", "solve-bool-tag"])
+def test_unreadable_explicit_tag_exit_one(
+    scenarios_dir, game_specs_dir, tmp_path, capsys, command, flag, source, old, new
+):
+    # PyYAML's constructors raise ValueError, AttributeError or KeyError here, not a YAMLError.
+    text = ((scenarios_dir if command == "run" else game_specs_dir) / source).read_text()
+    assert old in text
+    path = tmp_path / "bad.yaml"
+    path.write_text(text.replace(old, new, 1))
+    code, out, err = run_cli([command, flag, str(path)], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and "not valid YAML" in err
     assert "Traceback" not in err
 
 
