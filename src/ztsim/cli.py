@@ -182,8 +182,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario simulation")
     p_run.add_argument("--scenario", required=True, help="scenario YAML path")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    p_run.add_argument("--seeds", default=None, help="seed sweep A..B (inclusive)")
+    seeds = p_run.add_mutually_exclusive_group()
+    seeds.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    seeds.add_argument("--seeds", default=None, help="seed sweep A..B (inclusive)")
     p_run.add_argument("--out", default=None, help="trace output path (default stdout)")
     p_run.add_argument("--metrics", default=None, help="metrics JSON output path")
     p_run.set_defaults(func=cmd_run)

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the package, and the two rules every
-model applies to what it takes from documents: `real` for numbers and
-`labels` for identifier lists."""
+"""Exception hierarchy shared across the package, and the three rules every
+model applies to what it takes from documents: `real` for numbers, `labels`
+for identifier lists and `table` for tables keyed by those labels."""
+import itertools
 import math
 import numbers
 
@@ -46,6 +47,35 @@ def labels(values, key):
     except TypeError as exc:  # a YAML list or mapping used as a label
         raise ValidationError(f"identifiers must be hashable: {exc}", key) from None
     return values
+
+
+def table(entries, axes, key):
+    """`entries`, keyed by one label per axis (the bare label when there is
+    one axis), as a dict over every combination of the labels in `axes`, in
+    `itertools.product` order. An entry outside those labels and a missing
+    combination are rejected; the key is `key` and the labels up to the
+    first undeclared or missing one."""
+    single = len(axes) == 1
+    combos = axes[0] if single else list(itertools.product(*axes))
+    out = {k: entries[k] for k in combos if k in entries}
+    if len(out) < len(entries):
+        extra = next(k for k in entries if k not in out)
+        path = (extra,) if single else extra
+        if type(path) is not tuple or len(path) != len(axes):
+            raise ValidationError(f"expected {len(axes)} labels, got {extra!r}", key)
+        i = next(i for i, label in enumerate(path) if label not in axes[i])
+        raise ValidationError(f"undeclared label {path[i]!r}", _dotted(key, path[: i + 1]))
+    if len(out) < len(combos):
+        present = {k[:i] for k in out for i in range(1, len(axes))}
+        path = next(k for k in combos if k not in out)
+        path = (path,) if single else path
+        i = next(i for i in range(1, len(axes) + 1) if path[:i] not in present)
+        raise ValidationError("missing", _dotted(key, path[:i]))
+    return out
+
+
+def _dotted(key, path):
+    return ".".join(map(str, (key, *path)))
 
 
 class ZeroProbabilityObservation(ZtsimError):

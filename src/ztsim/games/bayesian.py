@@ -7,7 +7,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError, labels, real
+from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError
+from ..errors import labels, real, table
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -25,19 +26,19 @@ class BayesianGameSpec:
     utilities: dict  # player -> {(action profile, type profile): utility}
 
     def __post_init__(self):
-        object.__setattr__(self, "players", labels(self.players, "players"))
-        object.__setattr__(self, "types", {p: tuple(v) for p, v in self.types.items()})
-        object.__setattr__(self, "actions", {p: tuple(v) for p, v in self.actions.items()})
-        prior = {k: real(v, "prior") for k, v in self.prior.items()}
-        utilities = {
-            p: {k: real(u, f"utilities.{p}") for k, u in v.items()}
-            for p, v in self.utilities.items()
-        }
-        object.__setattr__(self, "prior", prior)
+        players = labels(self.players, "players")
+        object.__setattr__(self, "players", players)
+        for name in ("types", "actions"):
+            per_player = table(getattr(self, name), (players,), name)
+            per_player = {p: labels(v, f"{name}.{p}") for p, v in per_player.items()}
+            object.__setattr__(self, name, per_player)
+        object.__setattr__(self, "prior", {k: real(v, "prior") for k, v in self.prior.items()})
+        axes = (tuple(self.action_profiles()), tuple(self.type_profiles()))
+        utilities = {}
+        for p, entries in table(self.utilities, (players,), "utilities").items():
+            key = f"utilities.{p}"
+            utilities[p] = {k: real(u, key) for k, u in table(entries, axes, key).items()}
         object.__setattr__(self, "utilities", utilities)
-        for p in self.players:
-            for name in ("types", "actions"):
-                labels(getattr(self, name).get(p, ()), f"{name}.{p}")
         total = 0.0
         for profile, prob in self.prior.items():
             if len(profile) != len(self.players):
@@ -53,11 +54,6 @@ class BayesianGameSpec:
             total += prob
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"joint type prior sums to {total}, expected 1", "prior")
-        for aprof in self.action_profiles():
-            for tprof in self.type_profiles():
-                for p in self.players:
-                    if (aprof, tprof) not in self.utilities.get(p, {}):
-                        raise ValidationError(f"missing entry {(aprof, tprof)!r}", f"utilities.{p}")
 
     def type_profiles(self):
         return itertools.product(*(self.types[p] for p in self.players))

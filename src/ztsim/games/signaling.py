@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..errors import EnumerationBudgetExceeded, ValidationError, labels, real
+from ..errors import EnumerationBudgetExceeded, ValidationError, labels, real, table
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -29,23 +29,22 @@ class SignalingGameSpec:
     def __post_init__(self):
         for name in ("types", "signals", "receiver_actions"):
             object.__setattr__(self, name, labels(getattr(self, name), name))
-        for name in ("prior", "sender_utility", "receiver_utility"):
-            table = {k: real(v, name) for k, v in getattr(self, name).items()}
-            object.__setattr__(self, name, table)
-        total = sum(self.prior.get(t, 0.0) for t in self.types)
+        types, signals, actions = self.types, self.signals, self.receiver_actions
+        # A type the prior leaves out has probability 0.
+        prior = dict.fromkeys(types, 0.0) | dict(self.prior)
+        for name, entries, axes in (
+            ("prior", prior, (types,)),
+            ("sender_utility", self.sender_utility, (types, signals, actions)),
+            ("receiver_utility", self.receiver_utility, (actions, types)),
+        ):
+            values = {k: real(v, name) for k, v in table(entries, axes, name).items()}
+            object.__setattr__(self, name, values)
+        total = sum(self.prior.values())
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"sender type prior sums to {total}, expected 1", "prior")
-        for t in self.types:
-            if self.prior.get(t, 0.0) < 0:
+        for t, p in self.prior.items():
+            if p < 0:
                 raise ValidationError("must be non-negative", f"prior.{t}")
-            for s in self.signals:
-                for a in self.receiver_actions:
-                    if (t, s, a) not in self.sender_utility:
-                        raise ValidationError("missing entry", f"sender_utility.{t}.{s}.{a}")
-        for a in self.receiver_actions:
-            for t in self.types:
-                if (a, t) not in self.receiver_utility:
-                    raise ValidationError("missing entry", f"receiver_utility.{a}.{t}")
 
 
 @dataclass(frozen=True)

@@ -4,13 +4,11 @@ scenario format.
 """
 from __future__ import annotations
 
-import itertools
-
 import yaml
 
-from .errors import ScenarioFormatError, labels, real
+from .errors import ScenarioFormatError, labels, real, table
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
-from .scenario import SCHEMA_VERSION, _load_yaml, _require, _section
+from .scenario import SCHEMA_VERSION, _flatten, _load_yaml, _require, _section
 
 
 def parse_game(text):
@@ -31,31 +29,14 @@ def parse_game(text):
 
 
 def _labeled_matrix(body, section, key, rows, cols):
-    table = _require(body, section, key, dict)
     out = []
-    for r in rows:
-        if r not in table:
-            raise ScenarioFormatError(section, f"{key}.{r}", "missing row")
-        row = table[r]
+    for r, row in table(_require(body, section, key, dict), (rows,), key).items():
         if not isinstance(row, dict) or set(row) != set(cols):
             raise ScenarioFormatError(
                 section, f"{key}.{r}", f"row keys must be exactly {list(cols)}"
             )
         out.append(tuple(row[c] for c in cols))
     return tuple(out)
-
-
-def _cells(table, *axes):
-    """{(label, ...): value} over the declared labels of a nested labeled
-    table; absent entries are left out, for the model to report."""
-    out = {}
-    for key in itertools.product(*axes):
-        node = table
-        for label in key:
-            node = node.get(label) if isinstance(node, dict) else None
-        if node is not None:
-            out[key] = node
-    return out
 
 
 def _parse_matrices(body, kind, cls, *names):
@@ -69,56 +50,42 @@ def _parse_bayesian(body):
     players = labels(_require(body, "bayesian_game", "players", list), "players")
     types = _require(body, "bayesian_game", "types", dict)
     actions = _require(body, "bayesian_game", "actions", dict)
+
+    def by_player(entry, where, name):  # a profile: one label per player, in player order
+        value = _require(entry, f"bayesian_game.{where}", name, dict)
+        return tuple(table(value, (players,), f"{where}.{name}").values())
+
     prior = {}
     for i, entry in enumerate(_require(body, "bayesian_game", "prior", list)):
-        tmap = _require(entry, f"bayesian_game.prior[{i}]", "types", dict)
+        profile = by_player(entry, f"prior[{i}]", "types")
         p = _require(entry, f"bayesian_game.prior[{i}]", "p")
-        try:
-            profile = tuple(tmap[pl] for pl in players)
-        except KeyError as exc:
-            raise ScenarioFormatError(
-                "bayesian_game", f"prior[{i}].types", f"missing player {exc}"
-            ) from exc
         # Entries naming the same type profile add up, so each must be checked
         # here: the model only sees the sum.
         prior[profile] = prior.get(profile, 0.0) + real(p, f"prior[{i}].p")
     utilities = {p: {} for p in players}
     for i, entry in enumerate(_require(body, "bayesian_game", "utilities", list)):
-        section = f"bayesian_game.utilities[{i}]"
-        amap = _require(entry, section, "actions", dict)
-        tmap = _require(entry, section, "types", dict)
-        umap = _require(entry, section, "u", dict)
-        try:
-            aprof = tuple(amap[pl] for pl in players)
-            tprof = tuple(tmap[pl] for pl in players)
-        except KeyError as exc:
-            raise ScenarioFormatError("bayesian_game", section, f"missing player {exc}") from exc
-        for p in players:
-            if p not in umap:
-                raise ScenarioFormatError("bayesian_game", f"{section}.u", f"missing player {p!r}")
-            utilities[p][(aprof, tprof)] = umap[p]
+        where = f"utilities[{i}]"
+        key = (by_player(entry, where, "actions"), by_player(entry, where, "types"))
+        if key in utilities[players[0]]:
+            raise ScenarioFormatError("bayesian_game", where, f"repeats the entry for {key!r}")
+        for p, u in zip(players, by_player(entry, where, "u")):
+            utilities[p][key] = u
     return BayesianGameSpec(
         players=players, types=types, actions=actions, prior=prior, utilities=utilities
     )
 
 
 def _parse_signaling(body):
-    types, signals, ractions = (
-        labels(_require(body, "signaling_game", k, list), k)
-        for k in ("types", "signals", "receiver_actions")
-    )
-    prior = _require(body, "signaling_game", "prior", dict)
+    def get(key, kind=dict):
+        return _require(body, "signaling_game", key, kind)
+
     return SignalingGameSpec(
-        types=types,
-        prior={t: prior.get(t, 0.0) for t in types},
-        signals=signals,
-        receiver_actions=ractions,
-        sender_utility=_cells(
-            _require(body, "signaling_game", "sender_utility", dict), types, signals, ractions
-        ),
-        receiver_utility=_cells(
-            _require(body, "signaling_game", "receiver_utility", dict), ractions, types
-        ),
+        types=get("types", list),
+        prior=get("prior"),
+        signals=get("signals", list),
+        receiver_actions=get("receiver_actions", list),
+        sender_utility=_flatten(get("sender_utility"), 3, "signaling_game", "sender_utility"),
+        receiver_utility=_flatten(get("receiver_utility"), 2, "signaling_game", "receiver_utility"),
     )
 
 

@@ -32,13 +32,21 @@ def _require(mapping, section, key, kind=None):
     return value
 
 
-def _row(table, label, section, key):
-    """`table[label]`, which must be a non-empty mapping: an empty row would
-    leave its type out of the model's likelihood table."""
-    row = table.get(label) if isinstance(table, dict) else None
-    if not isinstance(row, dict) or not row:
-        raise ScenarioFormatError(section, key, "missing, or not a non-empty mapping")
-    return row
+def _flatten(table, depth, section, key):
+    """A mapping nested `depth` deep as {(label, ...): value}. Every entry is
+    kept, for the model to check against its declared labels; a value that is
+    not a mapping where one belongs is rejected at its key."""
+    level = {(): table}
+    for _ in range(depth):
+        deeper = {}
+        for path, node in level.items():
+            if not isinstance(node, dict):
+                where = ".".join(map(str, (key, *path)))
+                raise ScenarioFormatError(section, where, "expected a mapping")
+            for label, child in node.items():
+                deeper[(*path, label)] = child
+        level = deeper
+    return level
 
 
 @contextmanager
@@ -132,40 +140,22 @@ def parse_scenario(text) -> Scenario:
             types=_require(ts_doc, "type_space", "types", list),
             trusted=_require(ts_doc, "type_space", "trusted", list),
         )
-    types = space.types
 
     profiles = {}
     for name, pdoc in _require(doc, "scenario", "profiles", dict).items():
         section = f"profiles.{name}"
         with _section(section):
             behavior_doc = _require(pdoc, section, "behavior", dict)
-            for theta in behavior_doc:
-                if theta not in types:
-                    raise ScenarioFormatError(section, f"behavior.{theta}", "unknown type")
-            for theta in types:
-                _row(behavior_doc, theta, section, f"behavior.{theta}")
+            likelihood = _flatten(behavior_doc, 2, section, "behavior")
             # Category order, which sampling walks: actions as in the first row.
-            actions = tuple(next(iter(behavior_doc.values())))
-            behavior = BehaviorModel(
-                actions=actions,
-                likelihood={
-                    (theta, a): p for theta, row in behavior_doc.items() for a, p in row.items()
-                },
-            )
-
-            evidence_doc = _require(pdoc, section, "evidence", dict)
-            ev_likelihood = {}
-            for action in actions:
-                rows = evidence_doc.get(action)
-                for theta in types:
-                    row = _row(rows, theta, section, f"evidence.{action}.{theta}")
-                    ev_likelihood.update(((action, theta, e), p) for e, p in row.items())
-            # Category order: evidence values as in the first action's first type.
-            evidence = EvidenceModel(
-                evidence_values=tuple(evidence_doc[actions[0]][types[0]]),
-                likelihood=ev_likelihood,
-            )
-            profiles[name] = Profile(behavior=behavior, evidence=evidence)
+            behavior = BehaviorModel(tuple(next(iter(behavior_doc.values()), ())), likelihood)
+            likelihood = _flatten(_require(pdoc, section, "evidence", dict), 3, section, "evidence")
+            # Evidence values as in the first action's first type; when that row is
+            # missing, as first written, so that the scenario can report the gap.
+            first = (behavior.actions[0], space.types[0])
+            values = [e for a, t, e in likelihood if (a, t) == first]
+            values = values or dict.fromkeys(e for *_, e in likelihood)
+            profiles[name] = Profile(behavior, EvidenceModel(tuple(values), likelihood))
 
     entity_docs = _require(doc, "scenario", "entities", list)
     if not entity_docs:  # a run needs someone to observe; the API allows none

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import trust
-from .errors import ValidationError, ZeroProbabilityObservation, real
+from .errors import ValidationError, ZeroProbabilityObservation, real, table
 from .trust import (
     BehaviorModel,
     EvidenceModel,
@@ -119,14 +119,15 @@ class Scenario:
                 trust.state_from_score(trust.compose_prior(e.prior_sources), self.space)
             except ValidationError as exc:
                 raise ValidationError(exc.reason, f"entities[{i}].prior") from exc
-        for name in dict.fromkeys(e.profile for e in self.entities):
-            behavior, evidence = self.profiles[name].behavior, self.profiles[name].evidence
-            for t in self.space.types:  # every type's rows, which a simulated tick reads
-                if (t, behavior.actions[0]) not in behavior.likelihood:
-                    raise ValidationError(f"missing type {t!r}", f"profiles.{name}.behavior")
-                for a in behavior.actions:
-                    if (a, t, evidence.evidence_values[0]) not in evidence.likelihood:
-                        raise ValidationError(f"missing type {t!r}", f"profiles.{name}.evidence.{a}")
+        types = self.space.types
+        for name, profile in self.profiles.items():  # each table over exactly these types
+            actions = profile.behavior.actions
+            table(profile.behavior.likelihood, (types, actions), f"profiles.{name}.behavior")
+            table(
+                profile.evidence.likelihood,
+                (actions, types, profile.evidence.evidence_values),
+                f"profiles.{name}.evidence",
+            )
         baseline = self.policy.baseline
         if baseline is not None and set(baseline.mass) != set(self.space.types):
             raise ValidationError("must cover exactly the space's types", "policy.baseline")

@@ -104,9 +104,6 @@ class BehaviorModel:
             self, "likelihood", _check_rows(self.likelihood, self.actions, "behavior", "action")
         )
 
-    def types(self):
-        return tuple(dict.fromkeys(t for t, _ in self.likelihood))
-
     def prob(self, action, theta):
         return self.likelihood[(theta, action)]
 

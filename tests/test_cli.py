@@ -230,6 +230,16 @@ def test_run_negative_seed_exit_one(scenarios_dir, capsys, argv):
     assert err.startswith("error: --seed") and "non-negative" in err
 
 
+def test_run_seed_with_seeds_usage_error(scenarios_dir, capsys):
+    scenario = str(scenarios_dir / "apt_stealth.yaml")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--scenario", scenario, "--seed", "5", "--seeds", "1..2"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --seeds: not allowed with argument --seed" in captured.err
+
+
 @pytest.mark.parametrize("command, flag", [
     ("run", "--out"),
     ("run", "--metrics"),
@@ -330,6 +340,44 @@ REJECTED_VALUES = [
     ("game", "players: [insider, auditor]", "players: [[insider], auditor]",
      "bayesian_game players"),
     ("game", "types: [real, honeypot]", "types: [[real], honeypot]", "signaling_game types"),
+    ("scenario", "    evidence:\n      routine:",
+     "    evidence:\n      exfiltrate: {staff: {no_alarm: 2.0}}\n      routine:",
+     "profiles.workstation evidence.exfiltrate"),
+    ("scenario", "        apt: {no_alarm: 0.90, alarm: 0.10}",
+     "        apt: {no_alarm: 0.90, alarm: 0.10}\n        ghost: {no_alarm: 5}",
+     "profiles.workstation evidence.routine.ghost"),
+    ("game", "    scissors: {rock: -1, paper: 1, scissors: 0}",
+     "    scissors: {rock: -1, paper: 1, scissors: 0}\n"
+     "    lizard: {rock: 0, paper: 0, scissors: 0}",
+     "matrix_game payoff.lizard"),
+    ("game", "prior: {real: 0.7, honeypot: 0.3}", "prior: {real: 0.7, honeypot: 0.3, ghost: 9}",
+     "signaling_game prior.ghost"),
+    ("game", "    honeypot:\n      weak: {attack: 2, withdraw: 0}",
+     "    ghost:\n      weak: {attack: .nan, withdraw: 0}\n"
+     "    honeypot:\n      weak: {attack: 2, withdraw: 0}",
+     "signaling_game sender_utility.ghost"),
+    ("game", "    honeypot:\n      weak: {attack: 2, withdraw: 0}",
+     "    honeypot:\n      loud: {attack: x}\n      weak: {attack: 2, withdraw: 0}",
+     "signaling_game sender_utility.honeypot.loud"),
+    ("game", "    withdraw: {real: 0, honeypot: 0}",
+     "    withdraw: {real: 0, honeypot: 0}\n    flee: {real: 1, honeypot: 1}",
+     "signaling_game receiver_utility.flee"),
+    ("game", "attack: {real: 2, honeypot: -3}", "attack: {real: 2, honeypot: -3, ghost: 1}",
+     "signaling_game receiver_utility.attack.ghost"),
+    ("game", "    auditor: [generic]", "    auditor: [generic]\n    ghost: [lurking]",
+     "bayesian_game types.ghost"),
+    ("game", "u: {insider: 3, auditor: 1}}", "u: {insider: 3, auditor: 1, ghost: .nan}}",
+     "bayesian_game utilities[0].u.ghost"),
+    ("game", "types: {insider: negligent, auditor: generic}, u: {insider: 3, auditor: 1}}",
+     "types: {insider: negligent, auditor: generic}, u: {insider: 3, auditor: 1}}\n"
+     "    - {actions: {insider: jump, auditor: comply}, types: {insider: diligent, auditor: generic}, "
+     "u: {insider: 9, auditor: 9}}",
+     "bayesian_game utilities.insider.('jump', 'comply')"),
+    ("game", "types: {insider: diligent, auditor: generic}, u: {insider: 3, auditor: 1}}",
+     "types: {insider: diligent, auditor: generic}, u: {insider: 3, auditor: 1}}\n"
+     "    - {actions: {insider: comply, auditor: comply}, types: {insider: diligent, auditor: generic}, "
+     "u: {insider: 0, auditor: 0}}",
+     "bayesian_game utilities[1]"),
 ]
 
 
@@ -342,7 +390,12 @@ REJECTED_VALUES = [
          "receiver-utility-nan", "signaling-prior-nan", "prior-weight-nan", "decay-inf",
          "payoff-quoted", "payoff-huge-int", "row-labels-repeated", "grant-word",
          "bayesian-prior-word", "types-unhashable", "row-labels-unhashable",
-         "players-unhashable", "signaling-types-unhashable"],
+         "players-unhashable", "signaling-types-unhashable", "evidence-undeclared-action",
+         "evidence-undeclared-type", "payoff-undeclared-row", "signaling-prior-undeclared-type",
+         "sender-utility-undeclared-type", "sender-utility-undeclared-signal",
+         "receiver-utility-undeclared-action", "receiver-utility-undeclared-type",
+         "bayesian-types-undeclared-player", "bayesian-u-undeclared-player",
+         "bayesian-utility-undeclared-action", "bayesian-utility-repeated"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

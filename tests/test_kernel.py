@@ -375,12 +375,12 @@ def test_scenario_rejects_profile_missing_a_type():
     evidence = EvidenceModel(("e",), {("a", "A", "e"): 1.0, ("a", "B", "e"): 1.0})
     with pytest.raises(ValidationError) as info:
         _two_type_scenario(behavior, evidence, 0.5)
-    assert info.value.key == "profiles.p.behavior"
+    assert info.value.key == "profiles.p.behavior.B"
     behavior = BehaviorModel(("a",), {("A", "a"): 1.0, ("B", "a"): 1.0})
     evidence = EvidenceModel(("e",), {("a", "A", "e"): 1.0})
     with pytest.raises(ValidationError) as info:
         _two_type_scenario(behavior, evidence, 0.5)
-    assert info.value.key == "profiles.p.evidence.a"
+    assert info.value.key == "profiles.p.evidence.a.B"
 
 
 def test_scenario_rejects_baseline_over_other_types():

@@ -3,7 +3,7 @@
 Each example deletes or renames keys, or swaps values for junk (None, bools,
 strings, lists, mappings, negatives, NaN and infinities). Parsing must either
 succeed or raise ScenarioFormatError, and the CLI must exit 0 or 1 without a
-traceback.
+traceback. A label added to a labeled table, at any depth, must be rejected.
 """
 import contextlib
 import copy
@@ -11,6 +11,7 @@ import io
 import pathlib
 import tempfile
 
+import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,41 @@ def mutated_documents(draw):
     return command, yaml.safe_dump(doc, sort_keys=False)
 
 
+# Labeled tables of the game kinds: key -> nesting depth.
+TABLE_DEPTHS = {
+    "payoff": 2, "leader_payoff": 2, "follower_payoff": 2, "prior": 1, "sender_utility": 3,
+    "receiver_utility": 2, "types": 1, "actions": 1,
+}
+
+
+def _tables(doc):
+    """(mapping, depth) for every labeled table of a shipped document."""
+    for profile in doc.get("profiles", {}).values():
+        yield profile["behavior"], 2
+        yield profile["evidence"], 3
+    for kind in ("matrix_game", "bimatrix_game", "signaling_game", "bayesian_game"):
+        body = doc.get(kind, {})
+        for key, depth in TABLE_DEPTHS.items():
+            if isinstance(body.get(key), dict):
+                yield body[key], depth
+    bayesian = doc.get("bayesian_game", {})
+    for entry in bayesian.get("prior", []) + bayesian.get("utilities", []):  # maps over the players
+        yield from ((entry[k], 1) for k in ("actions", "types", "u") if k in entry)
+
+
+@st.composite
+def undeclared_label_documents(draw):
+    """A shipped document with one key added to a labeled table, at any depth,
+    holding a copy of a sibling's value."""
+    command, doc = draw(st.sampled_from(DOCS))
+    doc = copy.deepcopy(doc)
+    node, depth = draw(st.sampled_from(list(_tables(doc))))
+    for _ in range(draw(st.integers(0, depth - 1))):
+        node = node[draw(st.sampled_from(list(node)))]
+    node["undeclared"] = copy.deepcopy(draw(st.sampled_from(list(node.values()))))
+    return command, yaml.safe_dump(doc, sort_keys=False)
+
+
 # Never fewer examples than the active profile asks for, so a deeper profile
 # (`--hypothesis-profile=ci`) deepens these tests too.
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
@@ -88,3 +124,11 @@ def test_cli_exits_zero_or_one_without_traceback(case):
             code = main([command, flag, str(path), "--out", str(pathlib.Path(tmp) / "out")])
     assert code in (0, 1), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(undeclared_label_documents())
+def test_undeclared_label_rejected(case):
+    command, text = case
+    with pytest.raises(ScenarioFormatError):
+        PARSE[command](text)

@@ -150,7 +150,7 @@ def test_step_denied_entity_only_attenuates():
 
 def test_step_no_entities_advances_tick():
     scenario = Scenario(
-        space=TypeSpace(("t",), {"t"}),
+        space=TypeSpace(("trusted", "malicious"), {"trusted"}),
         profiles={"p": overt_profile()},
         entities=(),
         policy=POLICY,
