@@ -8,7 +8,7 @@ import yaml
 
 from .errors import ScenarioFormatError, labels, real, table
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
-from .scenario import SCHEMA_VERSION, _flatten, _load_yaml, _require, _section
+from .scenario import SCHEMA_VERSION, _flatten, _load_yaml, _read, _require, _section
 
 
 def parse_game(text):
@@ -65,10 +65,19 @@ def _parse_bayesian(body):
     utilities = {p: {} for p in players}
     for i, entry in enumerate(_require(body, "bayesian_game", "utilities", list)):
         where = f"utilities[{i}]"
-        key = (by_player(entry, where, "actions"), by_player(entry, where, "types"))
+        try:  # one walk over the players, when each map is keyed by exactly them
+            a, t, u = entry["actions"], entry["types"], entry["u"]
+            if not (type(a) is type(t) is type(u) is dict
+                    and len(a) == len(t) == len(u) == len(players)):
+                raise KeyError
+            *key, us = zip(*[(a[p], t[p], u[p]) for p in players])
+        except (KeyError, TypeError):  # `table` names the first fault
+            key = [by_player(entry, where, name) for name in ("actions", "types")]
+            us = by_player(entry, where, "u")
+        key = tuple(key)
         if key in utilities[players[0]]:
             raise ScenarioFormatError("bayesian_game", where, f"repeats the entry for {key!r}")
-        for p, u in zip(players, by_player(entry, where, "u")):
+        for p, u in zip(players, us):
             utilities[p][key] = u
     return BayesianGameSpec(
         players=players, types=types, actions=actions, prior=prior, utilities=utilities
@@ -166,9 +175,4 @@ def serialize_game(game) -> str:
 
 
 def load_game(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioFormatError("game", str(path), f"cannot read file: {exc}") from exc
-    return parse_game(text)
+    return parse_game(_read(path, "game"))

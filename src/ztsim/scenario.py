@@ -8,6 +8,7 @@ checks only its structure; the constructors make every value check.
 """
 from __future__ import annotations
 
+import functools
 import re
 from contextlib import contextmanager
 
@@ -30,6 +31,18 @@ def _require(mapping, section, key, kind=None):
             section, key, f"expected {kind.__name__}, got {type(value).__name__}"
         )
     return value
+
+
+def _fields(mapping, section, *required, **optional):
+    """`mapping`'s value under each `required` key, then under each `optional`
+    key or its default. Any other key is rejected: misspelt, an optional key
+    would silently read as its default."""
+    for key in mapping if isinstance(mapping, dict) else ():
+        if key not in required and key not in optional:
+            expected = [*required, *optional]
+            raise ScenarioFormatError(section, str(key), f"unknown key; expected one of {expected}")
+    fields = {key: _require(mapping, section, key) for key in required}
+    return fields | {key: mapping.get(key, default) for key, default in optional.items()}
 
 
 def _flatten(table, depth, section, key):
@@ -99,10 +112,35 @@ def _build(node, loader):
     return loader.construct_object(node)
 
 
+class _Resolver:
+    """PyYAML's tag resolution in one lean call per node, for loaders with no
+    path resolvers and no wildcard implicit resolvers, such as SafeLoader."""
+
+    def resolve(self, kind, value, implicit):
+        if kind is not ScalarNode:
+            return _SEQ if kind is SequenceNode else _MAP
+        if implicit[0]:
+            for tag, regexp in self.yaml_implicit_resolvers.get(value[:1], ()):
+                if regexp.match(value):
+                    return tag
+        return _STR
+
+    def descend_resolver(self, *path):
+        pass
+
+    ascend_resolver = descend_resolver
+
+
+@functools.cache
+def _lean(base):
+    return type(base.__name__, (_Resolver, base), {})
+
+
 def _parse_yaml(text):
-    """`yaml.load(text, Loader=cls)`, with libyaml's loader when PyYAML has it.
+    """`yaml.load(text, Loader=cls)`, with libyaml's loader when PyYAML has it;
+    `text` is str or bytes. `_Resolver` tags the nodes as `cls` would, and
     construct_document takes `_build`'s root and fills what it handed over."""
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)(text)
+    loader = _lean(getattr(yaml, "CSafeLoader", yaml.SafeLoader))(text)
     try:
         node = loader.get_single_node()
         if node is None:
@@ -136,6 +174,7 @@ def parse_scenario(text) -> Scenario:
 
     with _section("type_space"):
         ts_doc = _require(doc, "scenario", "type_space", dict)
+        _fields(ts_doc, "type_space", "types", "trusted")
         space = TypeSpace(
             types=_require(ts_doc, "type_space", "types", list),
             trusted=_require(ts_doc, "type_space", "trusted", list),
@@ -145,6 +184,7 @@ def parse_scenario(text) -> Scenario:
     for name, pdoc in _require(doc, "scenario", "profiles", dict).items():
         section = f"profiles.{name}"
         with _section(section):
+            _fields(pdoc, section, "behavior", "evidence")
             behavior_doc = _require(pdoc, section, "behavior", dict)
             likelihood = _flatten(behavior_doc, 2, section, "behavior")
             # Category order, which sampling walks: actions as in the first row.
@@ -164,25 +204,22 @@ def parse_scenario(text) -> Scenario:
     for i, edoc in enumerate(entity_docs):
         section = f"entities[{i}]"
         with _section(section):
-            fields = [_require(edoc, section, key) for key in ("id", "true_type", "profile")]
+            fields = _fields(edoc, section, "id", "true_type", "profile", prior=[{"score": 0.5}])
             sources = [
-                (_require(sdoc, f"{section}.prior[{j}]", "score"), sdoc.get("weight", 1.0))
-                for j, sdoc in enumerate(edoc.get("prior", [{"score": 0.5, "weight": 1.0}]))
+                tuple(_fields(sdoc, f"{section}.prior[{j}]", "score", weight=1.0).values())
+                for j, sdoc in enumerate(fields.pop("prior"))
             ]
-            entities.append(EntitySpec(*fields, prior_sources=tuple(sources)))
+            entities.append(EntitySpec(**fields, prior_sources=tuple(sources)))
 
     with _section("policy"):
         pdoc = _require(doc, "scenario", "policy", dict)
-        policy = PolicyConfig(
-            grant_threshold=_require(pdoc, "policy", "grant_threshold"),
-            deny_threshold=_require(pdoc, "policy", "deny_threshold"),
-            decay_rate=pdoc.get("decay_rate", 0.0),
-            observe_while_denied=pdoc.get("observe_while_denied", False),
-        )
+        policy = PolicyConfig(**_fields(
+            pdoc, "policy", "grant_threshold", "deny_threshold",
+            decay_rate=0.0, observe_while_denied=False,
+        ))
 
     with _section("run"):
-        rdoc = doc.get("run", {})
-        horizon, seed = rdoc.get("horizon", 1), rdoc.get("seed", 0)
+        run = _fields(doc.get("run", {}), "run", horizon=1, seed=0)
 
     with _section("scenario"):
         return Scenario(
@@ -190,8 +227,7 @@ def parse_scenario(text) -> Scenario:
             profiles=profiles,
             entities=entities,
             policy=policy,
-            horizon=horizon,
-            seed=seed,
+            **run,
         )
 
 
@@ -241,10 +277,14 @@ def serialize_scenario(scenario: Scenario) -> str:
     return yaml.safe_dump(doc, sort_keys=False)
 
 
-def load_scenario(path) -> Scenario:
+def _read(path, what):
+    """The document's bytes: the YAML loader decodes them, so bad UTF-8 is a YAML error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
-        raise ScenarioFormatError("scenario", str(path), f"cannot read file: {exc}") from exc
-    return parse_scenario(text)
+        raise ScenarioFormatError(what, str(path), f"cannot read file: {exc}") from exc
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(_read(path, "scenario"))

@@ -39,7 +39,9 @@ class TypeSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "types", labels(self.types, "types"))
-        object.__setattr__(self, "trusted", frozenset(self.trusted))
+        # A space may trust no type, though `labels` rejects an empty list.
+        trusted = self.trusted and labels(self.trusted, "trusted")
+        object.__setattr__(self, "trusted", frozenset(trusted))
         extra = self.trusted - set(self.types)
         if extra:
             raise ValidationError(f"unknown types {sorted(extra)}", "trusted")

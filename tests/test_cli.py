@@ -281,6 +281,21 @@ def test_unreadable_explicit_tag_exit_one(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, flag, source", [
+    ("run", "--scenario", "apt_stealth.yaml"),
+    ("solve", "--game", "rock_paper_scissors.yaml"),
+])
+def test_invalid_utf8_exit_one(scenarios_dir, game_specs_dir, tmp_path, capsys, command, flag, source):
+    data = ((scenarios_dir if command == "run" else game_specs_dir) / source).read_bytes()
+    path = tmp_path / "bad.yaml"
+    path.write_bytes(data.replace(b"schema_version: 1", b"schema_version: 1\nx: \xff", 1))
+    code, out, err = run_cli([command, flag, str(path)], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.startswith("error: ") and "-: not valid YAML" in err
+    assert "Traceback" not in err
+
+
 class _BrokenPipe:
     def write(self, _):
         raise BrokenPipeError("broken pipe")
@@ -378,6 +393,14 @@ REJECTED_VALUES = [
      "    - {actions: {insider: comply, auditor: comply}, types: {insider: diligent, auditor: generic}, "
      "u: {insider: 0, auditor: 0}}",
      "bayesian_game utilities[1]"),
+    ("scenario", "trusted: [staff]", "trusted: [staff, staff]", "type_space trusted"),
+    ("scenario", "decay_rate: 0.01", "decay_rat: 0.5", "policy decay_rat"),
+    ("scenario", "trusted: [staff]", "trusted: [staff]\n  trust: [apt]", "type_space trust"),
+    ("scenario", "    evidence:\n      routine:", "    evidnce: {}\n    evidence:\n      routine:",
+     "profiles.workstation evidnce"),
+    ("scenario", "id: bob", "id: bob\n    true-type: apt", "entities[1] true-type"),
+    ("scenario", "{score: 0.6, weight: 1.0}", "{score: 0.6, wieght: 1.0}", "entities[1].prior[0] wieght"),
+    ("scenario", "seed: 2024", "seeds: 2024", "run seeds"),
 ]
 
 
@@ -395,7 +418,9 @@ REJECTED_VALUES = [
          "sender-utility-undeclared-type", "sender-utility-undeclared-signal",
          "receiver-utility-undeclared-action", "receiver-utility-undeclared-type",
          "bayesian-types-undeclared-player", "bayesian-u-undeclared-player",
-         "bayesian-utility-undeclared-action", "bayesian-utility-repeated"],
+         "bayesian-utility-undeclared-action", "bayesian-utility-repeated", "trusted-repeated",
+         "policy-unknown-key", "type-space-unknown-key", "profile-unknown-key", "entity-unknown-key",
+         "prior-unknown-key", "run-unknown-key"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

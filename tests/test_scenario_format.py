@@ -4,11 +4,21 @@ import pathlib
 
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from ztsim.errors import ScenarioFormatError, TraceWriteError
 from ztsim.games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from ztsim.gamespec import load_game, parse_game, serialize_game
-from ztsim.scenario import _load_yaml, _parse_yaml, load_scenario, parse_scenario, serialize_scenario
+from ztsim.scenario import (
+    _lean,
+    _load_yaml,
+    _parse_yaml,
+    load_scenario,
+    parse_scenario,
+    serialize_scenario,
+)
 from ztsim.sim import run
 from ztsim.trace import emit_trace, metrics_to_dict, step_record_to_dict
 
@@ -206,12 +216,12 @@ def test_chosen_loader_builds_the_pure_python_documents(path):
 
 
 def _spy_on_loaders(monkeypatch):
-    """Record the class of every YAML loader instantiated."""
+    """Record the PyYAML loader class each instantiated loader derives from."""
     used = []
     for cls in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
 
-        def spy(self, stream, init=cls.__init__):
-            used.append(type(self))
+        def spy(self, stream, init=cls.__init__, cls=cls):
+            used.append(cls)
             init(self, stream)
 
         monkeypatch.setattr(cls, "__init__", spy)
@@ -307,6 +317,32 @@ def test_parse_yaml_keeps_aliases_shared(yaml_loader):
     assert doc["a"]["k"] == [1, 2]
     recursive = _parse_yaml(YAML_EDGE_CASES["recursive-alias"])
     assert recursive[1] is recursive
+
+
+def test_safe_loaders_have_no_path_or_wildcard_resolvers():
+    # What lets the lean resolver skip the path bookkeeping and the `None` list.
+    for cls in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
+        assert not cls.yaml_path_resolvers and None not in cls.yaml_implicit_resolvers
+
+
+# Plain scalars of every implicit tag, and the first characters with a resolver.
+RESOLVER_SEEDS = (
+    "", "~", "null", "Null", "NULL", "On", "off", "yes", "No", "TRUE", "false", "0x1F", "0o17",
+    "012", "0b101", "1_000", "-0", "+3", "1:30", "1:20.5", "1.5", "1e5", "1.e+5", ".5", ".inf",
+    "-.INF", ".nan", "2001-12-14", "2001-12-14t21:59:43.10-05:00", "<<", "=", "!", "&", "*",
+    "0", "Y", "n", "o", "t", "f", "-", ".", "plain",
+)
+
+
+@given(
+    kind=st.sampled_from([ScalarNode, SequenceNode, MappingNode]),
+    value=st.sampled_from(RESOLVER_SEEDS) | st.text(),
+    implicit=st.tuples(st.booleans(), st.booleans()),
+)
+def test_lean_resolver_tags_as_pyyaml(kind, value, implicit):
+    loader = _lean(yaml.SafeLoader)("")
+    expected = yaml.resolver.Resolver.resolve(loader, kind, value, implicit)
+    assert loader.resolve(kind, value, implicit) == expected
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["chosen", "fallback"])
