@@ -8,13 +8,14 @@ import yaml
 
 from .errors import ScenarioFormatError, labels, real, table
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
-from .scenario import SCHEMA_VERSION, _flatten, _load_yaml, _read, _require, _section
+from .scenario import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _require, _section
 
 
 def parse_game(text):
     """Return the single declared game object (MatrixGame, BimatrixGame,
     BayesianGameSpec, or SignalingGameSpec)."""
     doc = _load_yaml(text, "game")
+    _fields(doc, "game", "schema_version", **dict.fromkeys(GAME_KINDS))
     kinds = [k for k in GAME_KINDS if k in doc]
     if len(kinds) != 1:
         raise ScenarioFormatError(
@@ -57,8 +58,8 @@ def _parse_bayesian(body):
 
     prior = {}
     for i, entry in enumerate(_require(body, "bayesian_game", "prior", list)):
+        p = _fields(entry, f"bayesian_game.prior[{i}]", "types", "p")["p"]
         profile = by_player(entry, f"prior[{i}]", "types")
-        p = _require(entry, f"bayesian_game.prior[{i}]", "p")
         # Entries naming the same type profile add up, so each must be checked
         # here: the model only sees the sum.
         prior[profile] = prior.get(profile, 0.0) + real(p, f"prior[{i}].p")

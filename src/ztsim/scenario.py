@@ -8,12 +8,10 @@ checks only its structure; the constructors make every value check.
 """
 from __future__ import annotations
 
-import functools
 import re
 from contextlib import contextmanager
 
 import yaml
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .errors import ScenarioFormatError, ValidationError
 from .sim import EntitySpec, PolicyConfig, Profile, Scenario
@@ -77,78 +75,78 @@ def _section(section):
         raise ScenarioFormatError(section, "-", f"{type(exc).__name__}: {exc}") from exc
 
 
-_STR, _INT, _FLOAT, _MAP, _SEQ = ("tag:yaml.org,2002:" + t for t in ("str", "int", "float", "map", "seq"))
+_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
 # Forms that int() and float() read as PyYAML does; octal, `_`, base 60 and .inf are its own.
 _PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
 _PLAIN_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?").fullmatch
+_OTHER = object()  # no key read yet; as a document, one that yaml.load builds
 
 
-def _build(node, loader):
-    """What `loader` constructs for `node`. Strings, decimals, and lists and
-    maps keyed by those are built here, memoized where the constructor looks,
-    so aliases stay shared; it builds the rest, such as maps with `<<` or `=`
-    keys. Not a closure: that would hold each document in a reference cycle."""
-    tag, value = node.tag, node.value
-    if type(node) is ScalarNode:
-        if tag == _STR:
-            return value
-        if tag == _INT and _PLAIN_INT(value):
-            return int(value)
-        if tag == _FLOAT and _PLAIN_FLOAT(value):
-            return float(value)
-    elif node in loader.constructed_objects:
-        return loader.constructed_objects[node]
-    elif tag == _SEQ and type(node) is SequenceNode:
-        data = loader.constructed_objects[node] = []
-        data.extend([_build(item, loader) for item in value])
-        return data
-    elif tag == _MAP and type(node) is MappingNode and all(
-        type(key) is ScalarNode and key.tag in (_STR, _INT, _FLOAT) for key, _ in value
-    ):
-        data = loader.constructed_objects[node] = {}
-        for key, item in value:
-            data[_build(key, loader)] = _build(item, loader)
-        return data
-    return loader.construct_object(node)
-
-
-class _Resolver:
-    """PyYAML's tag resolution in one lean call per node, for loaders with no
-    path resolvers and no wildcard implicit resolvers, such as SafeLoader."""
-
-    def resolve(self, kind, value, implicit):
-        if kind is not ScalarNode:
-            return _SEQ if kind is SequenceNode else _MAP
-        if implicit[0]:
-            for tag, regexp in self.yaml_implicit_resolvers.get(value[:1], ()):
-                if regexp.match(value):
-                    return tag
-        return _STR
-
-    def descend_resolver(self, *path):
-        pass
-
-    ascend_resolver = descend_resolver
-
-
-@functools.cache
-def _lean(base):
-    return type(base.__name__, (_Resolver, base), {})
+def _document(loader):
+    """The document `loader` composes and constructs, built from its events on a
+    stack of dicts and lists. A plain scalar takes the first implicit resolver
+    listed under its first character that matches: the safe loaders have no path
+    resolvers. Anchors, aliases, tags, `<<` and `=`, collection keys, a second
+    document and a scalar that its constructor rejects make it return _OTHER."""
+    get, resolvers = loader.get_event, loader.yaml_implicit_resolvers
+    get()  # StreamStartEvent
+    if type(get()) is yaml.StreamEndEvent:
+        return None
+    root = top = []
+    key, stack = _OTHER, []
+    while True:
+        event = get()
+        cls = type(event)
+        if cls is yaml.ScalarEvent:
+            if event.anchor is not None or event.tag is not None:
+                return _OTHER
+            value = event.value
+            if event.implicit[0]:
+                for tag, regexp in resolvers.get(value[:1], ()):
+                    if regexp.match(value):
+                        if tag == _INT and _PLAIN_INT(value):
+                            value = int(value)
+                        elif tag == _FLOAT and _PLAIN_FLOAT(value):
+                            value = float(value)
+                        else:
+                            try:  # `<<` and `=` have no constructor
+                                value = loader.construct_object(yaml.ScalarNode(tag, value))
+                            except (yaml.YAMLError, ValueError):  # yaml.load raises its first error
+                                return _OTHER
+                        break
+        elif cls is yaml.MappingStartEvent or cls is yaml.SequenceStartEvent:
+            if (event.anchor is not None or event.tag is not None
+                    or type(top) is dict and key is _OTHER):  # a collection as a key
+                return _OTHER
+            stack.append((top, key))
+            top, key = {} if cls is yaml.MappingStartEvent else [], _OTHER
+            continue
+        elif cls is yaml.MappingEndEvent or cls is yaml.SequenceEndEvent:
+            value = top
+            top, key = stack.pop()
+        elif cls is yaml.DocumentEndEvent:
+            return root[0] if type(get()) is yaml.StreamEndEvent else _OTHER
+        else:  # AliasEvent
+            return _OTHER
+        if type(top) is list:
+            top.append(value)
+        elif key is _OTHER:
+            key = value
+        else:
+            top[key] = value
+            key = _OTHER
 
 
 def _parse_yaml(text):
-    """`yaml.load(text, Loader=cls)`, with libyaml's loader when PyYAML has it;
-    `text` is str or bytes. `_Resolver` tags the nodes as `cls` would, and
-    construct_document takes `_build`'s root and fills what it handed over."""
-    loader = _lean(getattr(yaml, "CSafeLoader", yaml.SafeLoader))(text)
+    """`yaml.load(text, Loader=base)`, where base is libyaml's loader when PyYAML
+    has it; `text` is str or bytes. yaml.load builds only what `_document` does not."""
+    base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = base(text)
     try:
-        node = loader.get_single_node()
-        if node is None:
-            return None
-        _build(node, loader)
-        return loader.construct_document(node)
+        doc = _document(loader)
     finally:
         loader.dispose()
+    return yaml.load(text, Loader=base) if doc is _OTHER else doc
 
 
 def _load_yaml(text, what):
@@ -218,8 +216,11 @@ def parse_scenario(text) -> Scenario:
             decay_rate=0.0, observe_while_denied=False,
         ))
 
+    top = _fields(
+        doc, "scenario", "schema_version", "type_space", "profiles", "entities", "policy", run={}
+    )
     with _section("run"):
-        run = _fields(doc.get("run", {}), "run", horizon=1, seed=0)
+        run = _fields(top["run"], "run", horizon=1, seed=0)
 
     with _section("scenario"):
         return Scenario(

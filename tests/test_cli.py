@@ -401,6 +401,10 @@ REJECTED_VALUES = [
     ("scenario", "id: bob", "id: bob\n    true-type: apt", "entities[1] true-type"),
     ("scenario", "{score: 0.6, weight: 1.0}", "{score: 0.6, wieght: 1.0}", "entities[1].prior[0] wieght"),
     ("scenario", "seed: 2024", "seeds: 2024", "run seeds"),
+    ("scenario", "run:\n  horizon", "runn:\n  horizon", "scenario runn"),
+    ("scenario", "schema_version: 1", "schema_version: 1\nextra: 1", "scenario extra"),
+    ("game", "schema_version: 1", "schema_version: 1\nextra: 1", "game extra"),
+    ("game", "generic}, p: 0.5}", "generic}, p: 0.5, q: 9}", "bayesian_game.prior[0] q"),
 ]
 
 
@@ -420,7 +424,8 @@ REJECTED_VALUES = [
          "bayesian-types-undeclared-player", "bayesian-u-undeclared-player",
          "bayesian-utility-undeclared-action", "bayesian-utility-repeated", "trusted-repeated",
          "policy-unknown-key", "type-space-unknown-key", "profile-unknown-key", "entity-unknown-key",
-         "prior-unknown-key", "run-unknown-key"],
+         "prior-unknown-key", "run-unknown-key", "run-misspelt", "scenario-unknown-key",
+         "game-unknown-key", "bayesian-prior-unknown-key"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

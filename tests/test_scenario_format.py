@@ -1,18 +1,21 @@
 import io
 import json
 import pathlib
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given
 from hypothesis import strategies as st
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.nodes import ScalarNode
 
+from ztsim import scenario
 from ztsim.errors import ScenarioFormatError, TraceWriteError
 from ztsim.games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from ztsim.gamespec import load_game, parse_game, serialize_game
 from ztsim.scenario import (
-    _lean,
+    _OTHER,
+    _document,
     _load_yaml,
     _parse_yaml,
     load_scenario,
@@ -246,9 +249,11 @@ def test_pure_python_fallback_parses_shipped_files(monkeypatch):
     assert set(used) == {yaml.SafeLoader}
 
 
-# Documents on both sides of every rule in `_build`: what it builds itself,
-# and what it hands to PyYAML's constructor (other number forms, merge and
-# value keys, unhashable keys, explicit and extra tags, recursive aliases).
+# Documents on both sides of every rule in `_document`: what it builds itself
+# (block scalars, explicit keys and markers, quoted `<<`, timestamps), what it
+# hands to PyYAML's constructors (other number forms, bools, nulls), and what
+# it leaves to yaml.load (anchors and aliases, tags, merge and value keys,
+# collection keys, a second document, a scalar its constructor rejects).
 YAML_EDGE_CASES = {
     "anchor-alias": "a: &x {k: [1, 2]}\nb: 2\nc: *x\n",
     "merge-override": "base: &b {x: 1, y: 2}\nmerged: {<<: *b, y: 3}\n",
@@ -273,16 +278,33 @@ YAML_EDGE_CASES = {
     "bool-null-keys": "~: 1\ntrue: 2\n",
     "two-documents": "a: 1\n---\nb: 2\n",
     "unclosed": "key: [1, 2\n",
+    "non-specific-tag": "a: ! 12\n",
+    "local-tag": "!foo 1\n",
+    "quoted-merge-key": "'<<': {a: 1}\n",
+    "anchor-deep-in-sequence": "a: [1, [2, &x {k: [v]}]]\nb: *x\n",
+    "duplicate-anchor": "a: &x 1\nb: &x 2\n",
+    "duplicate-anchor-on-collections": "a: &x [1]\nb: &x {k: v}\n",
+    "explicit-markers": "--- \na: 1\n...\n",
+    "bare-start": "---\n",
+    "block-scalars": "a: |\n  one\n  two\nb: >\n  folded\n  text\n",
+    "multi-line-plain": "a: one\n  two\n  3\n",
+    "explicit-scalar-key": "? a\n: 1\n",
+    "complex-key-after-simple-keys": "a: 1\nb: 2\n? [c]\n: 3\n",
+    "syntax-error-after-anchor": "a: &x 1\nb: [\n",
+    "invalid-timestamp": "a: 2001-02-30\n",
+    "invalid-timestamp-then-syntax-error": "a: 2001-02-30\nb: [\n",
+    "constructor-errors-in-load-order": "- [0x_]\n- 0b_\n",
+    "timestamp-key": "2001-12-14: x\n",
 }
 YAML_EDGE_CASES.update(
     (f"v: {value}", f"v: {value}\n")
     for value in "0x1F 0o17 012 -012 00 -0 1_000 1:20 1_0.5 1:20.5 .inf -.INF -.nan 1e5 1.e+5"
     " .5 +.5e-3 -0.0 +3 yes ~ 2001-12-14 '1.5' \"3\"".split()
 )
+TESTDATA = sorted((REPO_ROOT / "perfbench" / "testdata").glob("*.yaml"))
 YAML_INPUTS = [
     pytest.param(path.read_text(encoding="utf-8"), id=path.name)
-    for path in SHIPPED_SCENARIOS + SHIPPED_GAMES
-    + sorted((REPO_ROOT / "perfbench" / "testdata").glob("*.yaml"))
+    for path in SHIPPED_SCENARIOS + SHIPPED_GAMES + TESTDATA
 ] + [pytest.param(text, id=name) for name, text in YAML_EDGE_CASES.items()]
 
 
@@ -296,19 +318,24 @@ def yaml_loader(request, monkeypatch):
     return getattr(yaml, request.param)
 
 
-@pytest.mark.parametrize("text", YAML_INPUTS)
-def test_parse_yaml_builds_what_yaml_load_builds(yaml_loader, text):
+def _assert_loads_as_yaml_load(text, loader):
+    """`_parse_yaml(text)` returns what yaml.load does, or raises the same error."""
     try:
-        expected = yaml.load(text, Loader=yaml_loader)
+        expected = yaml.load(text, Loader=loader)
     except Exception as exc:
         with pytest.raises(Exception) as info:
             _parse_yaml(text)
-        assert type(info.value) is type(exc)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         return
     doc = _parse_yaml(text)
     assert repr(doc) == repr(expected)
-    if "*r" not in text:  # == on a recursive document never ends
+    if "*" not in text:  # == on a recursive document never ends
         assert doc == expected
+
+
+@pytest.mark.parametrize("text", YAML_INPUTS)
+def test_parse_yaml_builds_what_yaml_load_builds(yaml_loader, text):
+    _assert_loads_as_yaml_load(text, yaml_loader)
 
 
 def test_parse_yaml_keeps_aliases_shared(yaml_loader):
@@ -320,7 +347,7 @@ def test_parse_yaml_keeps_aliases_shared(yaml_loader):
 
 
 def test_safe_loaders_have_no_path_or_wildcard_resolvers():
-    # What lets the lean resolver skip the path bookkeeping and the `None` list.
+    # What lets `_document` tag a plain scalar by its first character alone.
     for cls in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
         assert not cls.yaml_path_resolvers and None not in cls.yaml_implicit_resolvers
 
@@ -334,15 +361,99 @@ RESOLVER_SEEDS = (
 )
 
 
-@given(
-    kind=st.sampled_from([ScalarNode, SequenceNode, MappingNode]),
-    value=st.sampled_from(RESOLVER_SEEDS) | st.text(),
-    implicit=st.tuples(st.booleans(), st.booleans()),
+class _EventLoader(yaml.SafeLoader):
+    """A SafeLoader that hands out `events` instead of parsing a stream."""
+
+    def __init__(self, events):
+        super().__init__("")
+        self.get_event = iter(events).__next__
+
+
+@given(value=st.sampled_from(RESOLVER_SEEDS) | st.text(), plain=st.booleans())
+def test_document_tags_scalars_as_pyyaml(value, plain):
+    # Any text, as a plain or a quoted scalar: the value PyYAML's resolver and
+    # constructor give it, or _OTHER where the constructor has none or fails.
+    implicit = (plain, not plain)
+    loader = yaml.SafeLoader("")
+    tag = yaml.resolver.Resolver.resolve(loader, ScalarNode, value, implicit)
+    try:
+        expected = loader.construct_object(ScalarNode(tag, value))
+    except Exception:
+        expected = _OTHER
+    events = [
+        yaml.StreamStartEvent(), yaml.DocumentStartEvent(),
+        yaml.ScalarEvent(None, None, implicit, value), yaml.DocumentEndEvent(), yaml.StreamEndEvent(),
+    ]
+    doc = _document(_EventLoader(events))
+    assert (type(doc), repr(doc)) == (type(expected), repr(expected))
+
+
+def _yaml_text(node, block, pad=""):
+    """`node` as YAML: a scalar in its quoting style, or a list or dict of nodes
+    in flow style, or in block style under `block`; each with its decoration
+    (an anchor, a tag, or an alias that stands in for the node)."""
+    deco, value = node
+    if deco.startswith("*"):
+        return deco
+    if isinstance(value, tuple):
+        text, style = value
+        if style == "'":
+            return deco + "'" + text.replace("'", "''") + "'"
+        return deco + (json.dumps(text) if style == '"' else text)
+    pairs, inner = isinstance(value, dict), pad + "  "
+    if not (block and value):
+        if pairs:
+            return deco + "{%s}" % ", ".join(
+                f"{_yaml_text(k, False)}: {_yaml_text(v, False)}" for k, v in value.items()
+            )
+        return deco + "[%s]" % ", ".join(_yaml_text(v, False) for v in value)
+    if pairs:
+        lines = [f"{pad}{_yaml_text(k, False)}: {_yaml_text(v, True, inner)}" for k, v in value.items()]
+    else:
+        lines = [f"{pad}- {_yaml_text(v, True, inner)}" for v in value]
+    return deco + "\n" + "\n".join(lines)
+
+
+# Text without control characters, which YAML rejects wherever they are,
+# and mostly undecorated nodes: one decoration leaves the document to yaml.load.
+_SCALARS = st.tuples(
+    st.sampled_from(RESOLVER_SEEDS) | st.text(st.characters(exclude_categories=["Cc"]), max_size=8),
+    st.sampled_from(["", "'", '"']),
 )
-def test_lean_resolver_tags_as_pyyaml(kind, value, implicit):
-    loader = _lean(yaml.SafeLoader)("")
-    expected = yaml.resolver.Resolver.resolve(loader, kind, value, implicit)
-    assert loader.resolve(kind, value, implicit) == expected
+_DECORATIONS = st.sampled_from([""] * 30 + ["&a ", "&b ", "*a", "!!str ", "! ", "!x "])
+_NODES = st.recursive(
+    st.tuples(_DECORATIONS, _SCALARS),
+    lambda children: st.tuples(
+        _DECORATIONS,
+        st.lists(children, max_size=3)
+        | st.dictionaries(st.tuples(st.just(""), _SCALARS), children, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+@given(node=_NODES, block=st.booleans())
+def test_parse_yaml_builds_what_yaml_load_builds_generated(node, block):
+    text = _yaml_text(node, block) + "\n"
+    for loader in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
+        with mock.patch.object(yaml, "CSafeLoader", loader, create=True):
+            _assert_loads_as_yaml_load(text, loader)
+
+
+@pytest.mark.parametrize("parse", [parse_scenario, parse_game], ids=["scenario", "game"])
+def test_documents_are_built_without_yaml_load(yaml_loader, monkeypatch, parse):
+    # Were every document left to yaml.load, the tests above would still pass.
+    paths = SHIPPED_SCENARIOS if parse is parse_scenario else SHIPPED_GAMES + TESTDATA
+    texts = [p.read_bytes() for p in paths] + ([MINIMAL] if parse is parse_scenario else [])
+    with monkeypatch.context() as m:
+        m.setattr(scenario, "_parse_yaml", lambda text: yaml.load(text, Loader=yaml_loader))
+        expected = [parse(text) for text in texts]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("yaml.load called")
+
+    monkeypatch.setattr(yaml, "load", refuse)
+    assert [parse(text) for text in texts] == expected
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["chosen", "fallback"])
