@@ -4,110 +4,108 @@ scenario format.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import yaml
 
-from .errors import ScenarioFormatError, labels, real, table
+from .document import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _section
+from .errors import ScenarioFormatError, ValidationError, labels, real, table
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
-from .scenario import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _require, _section
 
 
 def parse_game(text):
     """Return the single declared game object (MatrixGame, BimatrixGame,
     BayesianGameSpec, or SignalingGameSpec)."""
     doc = _load_yaml(text, "game")
-    _fields(doc, "game", "schema_version", **dict.fromkeys(GAME_KINDS))
+    _fields(doc, "game", schema_version=object, **dict.fromkeys(GAME_KINDS))
     kinds = [k for k in GAME_KINDS if k in doc]
     if len(kinds) != 1:
         raise ScenarioFormatError(
             "game", "-", f"exactly one of {GAME_KINDS} required, found {kinds}"
         )
     kind = kinds[0]
-    body = doc[kind]
-    if not isinstance(body, dict):
-        raise ScenarioFormatError("game", kind, "must be a mapping")
+    parse, keys = _KINDS[kind]
     with _section(kind):
-        return _PARSERS[kind](body)
+        return parse(**_fields(doc[kind], kind, **keys))
 
 
-def _labeled_matrix(body, section, key, rows, cols):
+def _labeled_matrix(rows_doc, key, rows, cols):
     out = []
-    for r, row in table(_require(body, section, key, dict), (rows,), key).items():
+    for r, row in table(rows_doc, (rows,), key).items():
         if not isinstance(row, dict) or set(row) != set(cols):
-            raise ScenarioFormatError(
-                section, f"{key}.{r}", f"row keys must be exactly {list(cols)}"
-            )
+            raise ValidationError(f"row keys must be exactly {list(cols)}", f"{key}.{r}")
         out.append(tuple(row[c] for c in cols))
     return tuple(out)
 
 
-def _parse_matrices(body, kind, cls, *names):
+def _parse_matrices(cls, row_labels, col_labels, **payoffs):
     # Labels key the document's tables, so they pass the model's rule first.
-    rows, cols = (labels(_require(body, kind, k, list), k) for k in ("row_labels", "col_labels"))
-    tables = {name: _labeled_matrix(body, kind, name, rows, cols) for name in names}
+    rows, cols = labels(row_labels, "row_labels"), labels(col_labels, "col_labels")
+    tables = {key: _labeled_matrix(doc, key, rows, cols) for key, doc in payoffs.items()}
     return cls(row_labels=rows, col_labels=cols, **tables)
 
 
-def _parse_bayesian(body):
-    players = labels(_require(body, "bayesian_game", "players", list), "players")
-    types = _require(body, "bayesian_game", "types", dict)
-    actions = _require(body, "bayesian_game", "actions", dict)
+def _parse_bayesian(players, types, actions, prior, utilities):
+    players = labels(players, "players")
 
-    def by_player(entry, where, name):  # a profile: one label per player, in player order
-        value = _require(entry, f"bayesian_game.{where}", name, dict)
+    def by_player(value, where, name):  # a profile: one label per player, in player order
         return tuple(table(value, (players,), f"{where}.{name}").values())
 
-    prior = {}
-    for i, entry in enumerate(_require(body, "bayesian_game", "prior", list)):
-        p = _fields(entry, f"bayesian_game.prior[{i}]", "types", "p")["p"]
-        profile = by_player(entry, f"prior[{i}]", "types")
+    profile_prior = {}
+    for i, entry in enumerate(prior):
+        entry = _fields(entry, f"bayesian_game.prior[{i}]", types=dict, p=object)
+        profile = by_player(entry["types"], f"prior[{i}]", "types")
         # Entries naming the same type profile add up, so each must be checked
         # here: the model only sees the sum.
-        prior[profile] = prior.get(profile, 0.0) + real(p, f"prior[{i}].p")
-    utilities = {p: {} for p in players}
-    for i, entry in enumerate(_require(body, "bayesian_game", "utilities", list)):
+        profile_prior[profile] = profile_prior.get(profile, 0.0) + real(entry["p"], f"prior[{i}].p")
+    player_utilities = {p: {} for p in players}
+    for i, entry in enumerate(utilities):
         where = f"utilities[{i}]"
-        try:  # one walk over the players, when each map is keyed by exactly them
+        try:  # one walk over the players, when the entry and each map are keyed by exactly them
             a, t, u = entry["actions"], entry["types"], entry["u"]
-            if not (type(a) is type(t) is type(u) is dict
+            if not (len(entry) == 3 and type(a) is type(t) is type(u) is dict
                     and len(a) == len(t) == len(u) == len(players)):
                 raise KeyError
             *key, us = zip(*[(a[p], t[p], u[p]) for p in players])
-        except (KeyError, TypeError):  # `table` names the first fault
-            key = [by_player(entry, where, name) for name in ("actions", "types")]
-            us = by_player(entry, where, "u")
+        except (KeyError, TypeError):  # `_fields` or `table` names the first fault
+            entry = _fields(entry, f"bayesian_game.{where}", actions=dict, types=dict, u=dict)
+            key = [by_player(entry[name], where, name) for name in ("actions", "types")]
+            us = by_player(entry["u"], where, "u")
         key = tuple(key)
-        if key in utilities[players[0]]:
+        if key in player_utilities[players[0]]:
             raise ScenarioFormatError("bayesian_game", where, f"repeats the entry for {key!r}")
         for p, u in zip(players, us):
-            utilities[p][key] = u
+            player_utilities[p][key] = u
     return BayesianGameSpec(
-        players=players, types=types, actions=actions, prior=prior, utilities=utilities
+        players=players, types=types, actions=actions, prior=profile_prior,
+        utilities=player_utilities,
     )
 
 
-def _parse_signaling(body):
-    def get(key, kind=dict):
-        return _require(body, "signaling_game", key, kind)
-
+def _parse_signaling(sender_utility, receiver_utility, **fields):
     return SignalingGameSpec(
-        types=get("types", list),
-        prior=get("prior"),
-        signals=get("signals", list),
-        receiver_actions=get("receiver_actions", list),
-        sender_utility=_flatten(get("sender_utility"), 3, "signaling_game", "sender_utility"),
-        receiver_utility=_flatten(get("receiver_utility"), 2, "signaling_game", "receiver_utility"),
+        **fields,
+        sender_utility=_flatten(sender_utility, 3, "signaling_game", "sender_utility"),
+        receiver_utility=_flatten(receiver_utility, 2, "signaling_game", "receiver_utility"),
     )
 
 
-_PARSERS = {
-    "matrix_game": lambda body: _parse_matrices(body, "matrix_game", MatrixGame, "payoff"),
-    "bimatrix_game": lambda body: _parse_matrices(
-        body, "bimatrix_game", BimatrixGame, "leader_payoff", "follower_payoff"
-    ),
-    "bayesian_game": _parse_bayesian,
-    "signaling_game": _parse_signaling,
+# Each game kind's parser and the keys of its body, as `_fields` takes them.
+_LABELS = {"row_labels": list, "col_labels": list}
+_KINDS = {
+    "matrix_game": (partial(_parse_matrices, MatrixGame), {**_LABELS, "payoff": dict}),
+    "bimatrix_game": (partial(_parse_matrices, BimatrixGame), {
+        **_LABELS, "leader_payoff": dict, "follower_payoff": dict,
+    }),
+    "bayesian_game": (_parse_bayesian, {
+        "players": list, "types": dict, "actions": dict, "prior": list, "utilities": list,
+    }),
+    "signaling_game": (_parse_signaling, {
+        "types": list, "prior": dict, "signals": list, "receiver_actions": list,
+        "sender_utility": dict, "receiver_utility": dict,
+    }),
 }
-GAME_KINDS = tuple(_PARSERS)
+GAME_KINDS = tuple(_KINDS)
 
 
 def _labeled(matrix, rows, cols):

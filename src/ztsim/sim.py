@@ -344,9 +344,7 @@ class CompiledScenario:
     def __init__(self, scenario: Scenario):
         space, policy = scenario.space, scenario.policy
         self.scenario = scenario
-        self.types = tuple(t for t in space.types if t in space.trusted) + tuple(
-            t for t in space.types if t not in space.trusted
-        )
+        self.types = space.trusted + tuple(t for t in space.types if t not in space.trusted)
         self.n_trusted = len(space.trusted)
         base = _baseline(scenario)
         self.baseline = np.array([base.mass[t] for t in self.types])

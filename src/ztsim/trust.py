@@ -35,16 +35,16 @@ class TypeSpace:
     """Finite set of entity types with a designated trusted (non-adversarial) subset."""
 
     types: tuple
-    trusted: frozenset
+    trusted: tuple  # in declared type order, whatever order it was given in
 
     def __post_init__(self):
         object.__setattr__(self, "types", labels(self.types, "types"))
         # A space may trust no type, though `labels` rejects an empty list.
-        trusted = self.trusted and labels(self.trusted, "trusted")
-        object.__setattr__(self, "trusted", frozenset(trusted))
-        extra = self.trusted - set(self.types)
+        trusted = set(self.trusted and labels(self.trusted, "trusted"))
+        extra = trusted - set(self.types)
         if extra:
             raise ValidationError(f"unknown types {sorted(extra)}", "trusted")
+        object.__setattr__(self, "trusted", tuple(t for t in self.types if t in trusted))
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def trust_score(state: TrustState, space: TypeSpace) -> float:
             f"state types {sorted(map(repr, state.mass))} do not match "
             f"space types {sorted(map(repr, space.types))}"
         )
-    trusted = np.array([state.mass[t] for t in space.types if t in space.trusted])
+    trusted = np.array([state.mass[t] for t in space.trusted])
     return _score_rows(trusted, len(trusted)).item()
 
 
@@ -271,15 +271,14 @@ def state_from_score(score, space: TypeSpace, timestamp: int = 0) -> TrustState:
     """Spread a scalar trust score uniformly over the trusted types and the
     remainder over the untrusted ones."""
     score = _prob(score, "trust score")
-    trusted = [t for t in space.types if t in space.trusted]
     untrusted = [t for t in space.types if t not in space.trusted]
-    if not trusted and score > PROB_TOL:
+    if not space.trusted and score > PROB_TOL:
         raise ValidationError("positive trust score but no trusted types")
     if not untrusted and score < 1 - PROB_TOL:
         raise ValidationError("trust score below 1 but no untrusted types")
     mass = {}
-    for t in trusted:
-        mass[t] = score / len(trusted)
+    for t in space.trusted:
+        mass[t] = score / len(space.trusted)
     for t in untrusted:
         mass[t] = (1.0 - score) / len(untrusted)
     return TrustState(mass=mass, timestamp=timestamp)

@@ -405,6 +405,15 @@ REJECTED_VALUES = [
     ("scenario", "schema_version: 1", "schema_version: 1\nextra: 1", "scenario extra"),
     ("game", "schema_version: 1", "schema_version: 1\nextra: 1", "game extra"),
     ("game", "generic}, p: 0.5}", "generic}, p: 0.5, q: 9}", "bayesian_game.prior[0] q"),
+    ("game", "  row_labels: [rock, paper, scissors]", "  extra: 1\n  row_labels: [rock, paper, scissors]",
+     "matrix_game extra"),
+    ("game", "  row_labels: [probe, exploit]", "  extra: 1\n  row_labels: [probe, exploit]",
+     "bimatrix_game extra"),
+    ("game", "  players: [insider, auditor]", "  players: [insider, auditor]\n  extra: 1",
+     "bayesian_game extra"),
+    ("game", "  types: [real, honeypot]", "  types: [real, honeypot]\n  extra: 1", "signaling_game extra"),
+    ("game", "u: {insider: 3, auditor: 1}}", "u: {insider: 3, auditor: 1}, w: 2}",
+     "bayesian_game.utilities[0] w"),
 ]
 
 
@@ -425,7 +434,9 @@ REJECTED_VALUES = [
          "bayesian-utility-undeclared-action", "bayesian-utility-repeated", "trusted-repeated",
          "policy-unknown-key", "type-space-unknown-key", "profile-unknown-key", "entity-unknown-key",
          "prior-unknown-key", "run-unknown-key", "run-misspelt", "scenario-unknown-key",
-         "game-unknown-key", "bayesian-prior-unknown-key"],
+         "game-unknown-key", "bayesian-prior-unknown-key", "matrix-body-unknown-key",
+         "bimatrix-body-unknown-key", "bayesian-body-unknown-key", "signaling-body-unknown-key",
+         "bayesian-utility-unknown-key"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where
@@ -437,6 +448,8 @@ def test_rejected_document_value_exit_one(
         source = game_specs_dir / "rock_paper_scissors.yaml"
     elif "honeypot" in old:
         source = game_specs_dir / "honeypot_signaling.yaml"
+    elif "probe" in old:
+        source = game_specs_dir / "commitment_demo.yaml"
     else:
         source = game_specs_dir / "insider_matching.yaml"
     text = source.read_text()

@@ -3,7 +3,8 @@
 Each example deletes or renames keys, or swaps values for junk (None, bools,
 strings, lists, mappings, negatives, NaN and infinities). Parsing must either
 succeed or raise ScenarioFormatError, and the CLI must exit 0 or 1 without a
-traceback. A label added to a labeled table, at any depth, must be rejected.
+traceback. A label added to a labeled table, at any depth, must be rejected,
+and so must a key added to any other mapping.
 """
 import contextlib
 import copy
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from ztsim.cli import main
 from ztsim.errors import ScenarioFormatError
-from ztsim.gamespec import parse_game
+from ztsim.gamespec import GAME_KINDS, parse_game
 from ztsim.scenario import parse_scenario
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -99,6 +100,31 @@ def undeclared_label_documents(draw):
     return command, yaml.safe_dump(doc, sort_keys=False)
 
 
+def _records(doc):
+    """Every mapping of a shipped document whose keys are fixed names, not labels."""
+    yield doc
+    for section in ("type_space", "policy", "run", *GAME_KINDS):
+        if section in doc:
+            yield doc[section]
+    yield from doc.get("profiles", {}).values()
+    for entity in doc.get("entities", []):
+        yield entity
+        yield from entity.get("prior", [])
+    bayesian = doc.get("bayesian_game", {})
+    yield from bayesian.get("prior", []) + bayesian.get("utilities", [])
+
+
+@st.composite
+def unknown_key_documents(draw):
+    """A shipped document with a key no reader defines (none starts with `x`)
+    added to one of its fixed-key mappings, at any depth; and that key."""
+    command, doc = draw(st.sampled_from(DOCS))
+    doc = copy.deepcopy(doc)
+    key = draw(st.from_regex(r"x[a-z_]{0,8}", fullmatch=True))
+    draw(st.sampled_from(list(_records(doc))))[key] = copy.deepcopy(draw(st.sampled_from(JUNK)))
+    return command, yaml.safe_dump(doc, sort_keys=False), key
+
+
 # Never fewer examples than the active profile asks for, so a deeper profile
 # (`--hypothesis-profile=ci`) deepens these tests too.
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
@@ -132,3 +158,13 @@ def test_undeclared_label_rejected(case):
     command, text = case
     with pytest.raises(ScenarioFormatError):
         PARSE[command](text)
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(unknown_key_documents())
+def test_unknown_key_rejected(case):
+    command, text, key = case
+    with pytest.raises(ScenarioFormatError) as info:
+        PARSE[command](text)
+    assert info.value.key == key
+    assert info.value.reason.startswith("unknown key")

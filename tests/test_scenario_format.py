@@ -1,6 +1,10 @@
+import ast
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -9,19 +13,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from yaml.nodes import ScalarNode
 
-from ztsim import scenario
+from ztsim import document
+from ztsim.document import _OTHER, _document, _load_yaml, _parse_yaml
 from ztsim.errors import ScenarioFormatError, TraceWriteError
 from ztsim.games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 from ztsim.gamespec import load_game, parse_game, serialize_game
-from ztsim.scenario import (
-    _OTHER,
-    _document,
-    _load_yaml,
-    _parse_yaml,
-    load_scenario,
-    parse_scenario,
-    serialize_scenario,
-)
+from ztsim.scenario import load_scenario, parse_scenario, serialize_scenario
 from ztsim.sim import run
 from ztsim.trace import emit_trace, metrics_to_dict, step_record_to_dict
 
@@ -99,6 +96,65 @@ def test_threshold_order_enforced():
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario(text)
     assert "deny" in str(info.value)
+
+
+def test_loaded_scenario_repr_is_independent_of_hash_seed(tmp_path):
+    """Two trusted types: held as a set of strings, they would be listed in an
+    order that follows the per-process string hash."""
+    path = tmp_path / "two_trusted.yaml"
+    path.write_text(
+        MINIMAL.replace("types: [good, bad]", "types: [good, fine, bad]")
+        .replace("trusted: [good]", "trusted: [fine, good]")
+        .replace("      bad: {act: 1.0}", "      fine: {act: 1.0}\n      bad: {act: 1.0}")
+        .replace("        bad: {obs: 1.0}", "        fine: {obs: 1.0}\n        bad: {obs: 1.0}")
+    )
+    code = f"from ztsim.scenario import load_scenario; print(repr(load_scenario({str(path)!r})))"
+    src = str(REPO_ROOT / "src")
+    reprs = {
+        subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(reprs) == 1
+    assert "trusted=('good', 'fine')" in reprs.pop()
+
+
+def _package_imports(module):
+    """The `ztsim` modules that `module` imports, directly or through one another."""
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        path = REPO_ROOT.joinpath("src", *name.split("."))
+        if path.is_dir():
+            path, package = path / "__init__.py", name
+        else:
+            path, package = path.with_suffix(".py"), name.rpartition(".")[0]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                base = package.rsplit(".", node.level - 1)[0]
+                modules = [node.module] if node.module else [alias.name for alias in node.names]
+                names = [f"{base}.{m}" for m in modules]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                if name.startswith("ztsim.") and name not in seen:
+                    seen.add(name)
+                    todo.append(name)
+    return seen
+
+
+def test_document_reader_imports_only_errors():
+    """Both document kinds read through `document`, so loading a game spec
+    needs neither the scenario parser nor the simulator."""
+    assert _package_imports("ztsim.document") == {"ztsim.errors"}
+    assert not _package_imports("ztsim.gamespec") & {"ztsim.scenario", "ztsim.sim"}
+    assert "ztsim.sim" in _package_imports("ztsim.scenario")  # the walk follows imports
 
 
 def test_scenario_round_trip_identity(scenarios_dir):
@@ -446,7 +502,7 @@ def test_documents_are_built_without_yaml_load(yaml_loader, monkeypatch, parse):
     paths = SHIPPED_SCENARIOS if parse is parse_scenario else SHIPPED_GAMES + TESTDATA
     texts = [p.read_bytes() for p in paths] + ([MINIMAL] if parse is parse_scenario else [])
     with monkeypatch.context() as m:
-        m.setattr(scenario, "_parse_yaml", lambda text: yaml.load(text, Loader=yaml_loader))
+        m.setattr(document, "_parse_yaml", lambda text: yaml.load(text, Loader=yaml_loader))
         expected = [parse(text) for text in texts]
 
     def refuse(*args, **kwargs):
