@@ -10,6 +10,7 @@ scenario seed (or its --seed/--seeds override); the CLI adds no entropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from .gamespec import load_game
 from .scenario import load_scenario
 # cmd_run batches seeds through run_seeds and writes metrics with metrics_text;
 # `run` and `metrics_to_dict` stay names here for code that wraps them, such as
-# perfbench/spans.py.
+# perfbench/spans.py. For the same reason `main` looks up `cmd_run` and
+# `cmd_solve` by name at call time, so a wrapper put on either after import runs.
 from .sim import compute_metrics, run, run_seeds  # noqa: F401
 from .trace import emit_metrics, emit_trace, metrics_text, metrics_to_dict, solver_record  # noqa: F401
 
@@ -42,7 +44,10 @@ def _parse_seeds(spec):
     if ".." not in spec:
         raise ValueError(f"--seeds expects A..B, got {spec!r}")
     lo, hi = spec.split("..", 1)
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--seeds expects A..B with integer bounds, got {spec!r}") from None
     if hi < lo:
         raise ValueError(f"--seeds range is empty: {spec!r}")
     if lo < 0:
@@ -187,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     seeds.add_argument("--seeds", default=None, help="seed sweep A..B (inclusive)")
     p_run.add_argument("--out", default=None, help="trace output path (default stdout)")
     p_run.add_argument("--metrics", default=None, help="metrics JSON output path")
-    p_run.set_defaults(func=cmd_run)
 
     p_solve = sub.add_parser("solve", help="solve a game spec")
     p_solve.add_argument("--game", required=True, help="game spec YAML path")
@@ -196,14 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--off-path", choices=("uniform", "prior", "pessimistic"), default="uniform"
     )
     p_solve.add_argument("--out", default=None, help="result output path (default stdout)")
-    p_solve.set_defaults(func=cmd_solve)
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser every `main` call uses, built on the first: parsing leaves
+    no state in it. `build_parser` stays uncached, so its callers own theirs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    command = cmd_run if args.command == "run" else cmd_solve
     try:
-        return args.func(args)
+        return command(args)
     except ScenarioFormatError as exc:  # raised only while loading the document
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

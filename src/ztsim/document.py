@@ -15,9 +15,10 @@ SCHEMA_VERSION = 1
 def _fields(mapping, section, **keys):
     """`mapping`'s value under each key of `keys`, in that order. A key whose
     entry is a type (`list`, `dict` or `object`) is required, and its value
-    must be of that type; any other entry is an optional key's default. Any
-    other key is rejected: misspelt, an optional key would silently read as
-    its default."""
+    must be of that type; any other entry is an optional key's default, and a
+    value given for a list or dict default must be of the same type. Any other
+    key is rejected: misspelt, an optional key would silently read as its
+    default."""
     if not isinstance(mapping, dict):
         raise ScenarioFormatError(section, "-", f"expected a mapping, got {type(mapping).__name__}")
     for key in mapping:
@@ -26,11 +27,15 @@ def _fields(mapping, section, **keys):
             raise ScenarioFormatError(section, str(key), f"unknown key; expected one of {expected}")
     fields = {}
     for key, kind in keys.items():
-        required = isinstance(kind, type)
-        if required and key not in mapping:
-            raise ScenarioFormatError(section, key, "missing required key")
-        value = fields[key] = mapping.get(key, kind)
-        if required and not isinstance(value, kind):
+        if isinstance(kind, type):
+            if key not in mapping:
+                raise ScenarioFormatError(section, key, "missing required key")
+            value = mapping[key]
+        else:
+            value = mapping.get(key, kind)
+            kind = type(kind) if type(kind) in (list, dict) else object
+        fields[key] = value
+        if not isinstance(value, kind):
             got = type(value).__name__
             raise ScenarioFormatError(section, key, f"expected {kind.__name__}, got {got}")
     return fields

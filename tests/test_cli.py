@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ztsim import cli
 from ztsim.cli import EXIT_BUDGET, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from ztsim.games import BayesianGameSpec
 from ztsim.gamespec import serialize_game
@@ -217,17 +218,19 @@ def test_solve_output_file(game_specs_dir, tmp_path, capsys):
     assert json.loads(out.read_text().splitlines()[0])["kind"] == "zero_sum"
 
 
-@pytest.mark.parametrize("argv", [
-    ["--seed", "-1"],
-    ["--seeds=-2..3"],
-    ["--seeds=-5..-1"],
-], ids=["seed", "seeds-low", "seeds-both"])
-def test_run_negative_seed_exit_one(scenarios_dir, capsys, argv):
+@pytest.mark.parametrize("argv, reason", [
+    (["--seed", "-1"], "non-negative"),
+    (["--seeds=-2..3"], "non-negative"),
+    (["--seeds=-5..-1"], "non-negative"),
+    (["--seeds", "1..x"], "--seeds expects A..B with integer bounds, got '1..x'\n"),
+    (["--seeds", "1.5..3"], "--seeds expects A..B with integer bounds, got '1.5..3'\n"),
+], ids=["seed", "seeds-low", "seeds-both", "seeds-word", "seeds-float"])
+def test_run_negative_seed_exit_one(scenarios_dir, capsys, argv, reason):
     scenario = str(scenarios_dir / "apt_stealth.yaml")
     code, out, err = run_cli(["run", "--scenario", scenario] + argv, capsys)
     assert code == EXIT_VALIDATION
     assert out == ""
-    assert err.startswith("error: --seed") and "non-negative" in err
+    assert err.startswith("error: --seed") and reason in err
 
 
 def test_run_seed_with_seeds_usage_error(scenarios_dir, capsys):
@@ -238,6 +241,44 @@ def test_run_seed_with_seeds_usage_error(scenarios_dir, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --seeds: not allowed with argument --seed" in captured.err
+
+
+def test_main_builds_its_parser_once(game_specs_dir, monkeypatch, capsys):
+    build_parser, built = cli.build_parser, []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    game = str(game_specs_dir / "rock_paper_scissors.yaml")
+    for _ in range(3):
+        assert run_cli(["solve", "--game", game], capsys)[0] == EXIT_OK
+    assert len(built) == 1
+
+
+def test_usage_error_leaves_later_calls_unchanged(scenarios_dir, game_specs_dir, capsys):
+    argv = ["solve", "--game", str(game_specs_dir / "insider_matching.yaml")]
+    first = run_cli(argv, capsys)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--scenario", str(scenarios_dir / "apt_stealth.yaml"),
+              "--seed", "5", "--seeds", "1..2"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    assert run_cli(argv, capsys) == first
+    assert first[0] == EXIT_OK and first[1]
+
+
+def test_main_calls_the_current_cmd_solve(game_specs_dir, monkeypatch, capsys):
+    # Code that wraps the command functions after import, such as
+    # perfbench/spans.py, relies on `main` looking them up on every call.
+    argv = ["solve", "--game", str(game_specs_dir / "rock_paper_scissors.yaml"), "--mode", "pure"]
+    assert run_cli(argv, capsys)[0] == EXIT_OK
+    seen = []
+    monkeypatch.setattr(cli, "cmd_solve", lambda args: seen.append(args) or 7)
+    assert main(argv) == 7
+    assert [(a.command, a.game, a.mode) for a in seen] == [tuple(argv[i] for i in (0, 2, 4))]
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -414,6 +455,10 @@ REJECTED_VALUES = [
     ("game", "  types: [real, honeypot]", "  types: [real, honeypot]\n  extra: 1", "signaling_game extra"),
     ("game", "u: {insider: 3, auditor: 1}}", "u: {insider: 3, auditor: 1}, w: 2}",
      "bayesian_game.utilities[0] w"),
+    ("scenario", "\n      - {score: 0.6, weight: 1.0}", " 0.6",
+     "entities[1] prior: expected list, got float"),
+    ("scenario", "\n      - {score: 0.6, weight: 1.0}", " {score: 0.6, weight: 1.0}",
+     "entities[1] prior: expected list, got dict"),
 ]
 
 
@@ -436,7 +481,7 @@ REJECTED_VALUES = [
          "prior-unknown-key", "run-unknown-key", "run-misspelt", "scenario-unknown-key",
          "game-unknown-key", "bayesian-prior-unknown-key", "matrix-body-unknown-key",
          "bimatrix-body-unknown-key", "bayesian-body-unknown-key", "signaling-body-unknown-key",
-         "bayesian-utility-unknown-key"],
+         "bayesian-utility-unknown-key", "prior-scalar", "prior-mapping"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where
