@@ -16,9 +16,11 @@ DEFAULT_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "apt_s
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seeds", type=int, default=100)
+    parser.add_argument("--seeds", type=int, default=100, help="number of seeds, at least 1")
     parser.add_argument("--scenario", type=Path, default=DEFAULT_SCENARIO)
     args = parser.parse_args()
+    if args.seeds < 1:  # no seed leaves the medians below undefined
+        parser.error(f"argument --seeds: must be at least 1, got {args.seeds}")
 
     scenario = load_scenario(args.scenario)
     finals = {e.id: [] for e in scenario.entities}
@@ -42,8 +44,9 @@ def main():
     trusted = [s for e in scenario.entities if e.true_type in scenario.space.trusted for s in finals[e.id]]
     hostile = [s for e in scenario.entities if e.true_type not in scenario.space.trusted for s in finals[e.id]]
     print()
-    print(f"median trusted final score:     {statistics.median(trusted):.4f}")
-    print(f"median adversarial final score: {statistics.median(hostile):.4f}")
+    for label, scores in (("trusted", trusted), ("adversarial", hostile)):
+        median = f"{statistics.median(scores):.4f}" if scores else "none (no such entity)"
+        print(f"{f'median {label} final score:':<32}{median}")
 
 
 if __name__ == "__main__":

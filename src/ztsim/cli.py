@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    sweep = len(seeds) > 1
+    sweep = args.seeds is not None  # laid out per seed, even for one seed
     chunks = []  # metrics text per seed, written once every seed has run
     try:
         for seed, trace in zip(seeds, run_seeds(scenario, seeds)):

@@ -32,9 +32,9 @@ def parse_game(text):
 def _labeled_matrix(rows_doc, key, rows, cols):
     out = []
     for r, row in table(rows_doc, (rows,), key).items():
-        if not isinstance(row, dict) or set(row) != set(cols):
-            raise ValidationError(f"row keys must be exactly {list(cols)}", f"{key}.{r}")
-        out.append(tuple(row[c] for c in cols))
+        if not isinstance(row, dict):
+            raise ValidationError("expected a mapping", f"{key}.{r}")
+        out.append(tuple(table(row, (cols,), f"{key}.{r}").values()))
     return tuple(out)
 
 

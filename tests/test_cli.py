@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +14,9 @@ from ztsim.gamespec import serialize_game
 from ztsim.scenario import load_scenario
 from ztsim.sim import compute_metrics, run
 from ztsim.trace import metrics_to_dict, step_record_to_dict
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def run_cli(argv, capsys):
@@ -85,6 +92,47 @@ def test_run_seed_sweep_writes_per_seed_files(scenarios_dir, tmp_path, capsys):
         assert (tmp_path / f"trace.seed{seed}.jsonl").exists()
     doc = json.loads(met.read_text())
     assert set(doc["seeds"]) == {"3", "4", "5"} or set(doc["seeds"]) == {3, 4, 5}
+
+
+def test_run_one_seed_range_is_a_sweep(scenarios_dir, tmp_path, capsys):
+    # `--seeds A..A` is laid out as every sweep is: per-seed trace files, a
+    # metrics document keyed under "seeds", and no trace on stdout.
+    scenario = str(scenarios_dir / "deterministic_attacker.yaml")
+    met = tmp_path / "metrics.json"
+    code, out, err = run_cli(["run", "--scenario", scenario, "--seeds", "5..5", "--metrics", str(met)], capsys)
+    assert (code, out) == (EXIT_OK, ""), err
+    assert list(json.loads(met.read_text())["seeds"]) == ["5"]
+    out_path = tmp_path / "trace.jsonl"
+    code, out, err = run_cli(["run", "--scenario", scenario, "--seeds", "5..5", "--out", str(out_path)], capsys)
+    assert (code, out) == (EXIT_OK, ""), err
+    assert not out_path.exists()
+    trace = [step_record_to_dict(r) for r in run(load_scenario(scenario), 5).records]
+    lines = (tmp_path / "trace.seed5.jsonl").read_text().splitlines()
+    assert [json.loads(line) for line in lines] == json.loads(json.dumps(trace))
+
+
+def _stealth_sweep(*argv):
+    script = REPO_ROOT / "scripts" / "run_stealth_sweep.py"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    return subprocess.run([sys.executable, str(script), *argv], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_stealth_sweep_script_rejects_a_seed_count_below_one(count):
+    proc = _stealth_sweep("--seeds", count)
+    assert proc.returncode == 2
+    assert f"argument --seeds: must be at least 1, got {count}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_stealth_sweep_script_without_an_adversary(scenarios_dir, tmp_path):
+    text = (scenarios_dir / "apt_stealth.yaml").read_text()
+    implant = text[text.index("  - id: implant-7"):text.index("policy:")]
+    path = tmp_path / "staff_only.yaml"
+    path.write_text(text.replace(implant, ""))
+    proc = _stealth_sweep("--seeds", "2", "--scenario", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("median adversarial final score: none (no such entity)\n")
 
 
 def test_run_sweep_bytes_match_json_with_non_ascii_id(scenarios_dir, tmp_path, capsys):
@@ -459,6 +507,14 @@ REJECTED_VALUES = [
      "entities[1] prior: expected list, got float"),
     ("scenario", "\n      - {score: 0.6, weight: 1.0}", " {score: 0.6, weight: 1.0}",
      "entities[1] prior: expected list, got dict"),
+    ("game", "rock: {rock: 0, paper: -1, scissors: 1}", "rock: {rock: 0, paper: -1, scissors: 1, lizard: 2}",
+     "matrix_game payoff.rock.lizard: undeclared label 'lizard'"),
+    ("game", "rock: {rock: 0, paper: -1, scissors: 1}", "rock: {rock: 0, paper: -1}",
+     "matrix_game payoff.rock.scissors: missing"),
+    ("game", "rock: {rock: 0, paper: -1, scissors: 1}", "rock: [0, -1, 1]",
+     "matrix_game payoff.rock: expected a mapping"),
+    ("game", "probe: {patch: 1, monitor: 0}", "probe: {patch: 1, monitr: 0}",
+     "bimatrix_game follower_payoff.probe.monitr: undeclared label 'monitr'"),
 ]
 
 
@@ -481,7 +537,8 @@ REJECTED_VALUES = [
          "prior-unknown-key", "run-unknown-key", "run-misspelt", "scenario-unknown-key",
          "game-unknown-key", "bayesian-prior-unknown-key", "matrix-body-unknown-key",
          "bimatrix-body-unknown-key", "bayesian-body-unknown-key", "signaling-body-unknown-key",
-         "bayesian-utility-unknown-key", "prior-scalar", "prior-mapping"],
+         "bayesian-utility-unknown-key", "prior-scalar", "prior-mapping", "payoff-row-undeclared-col",
+         "payoff-row-missing-col", "payoff-row-list", "bimatrix-row-undeclared-col"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

@@ -3,13 +3,15 @@ import io
 import json
 import os
 import pathlib
+import re
+import string
 import subprocess
 import sys
 from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from yaml.nodes import ScalarNode
 
@@ -287,11 +289,17 @@ def _spy_on_loaders(monkeypatch):
     return used
 
 
+def _outside_subset(text):
+    """`text` with its first key quoted, which leaves it to the event loop."""
+    return text.replace("schema_version: 1", '"schema_version": 1', 1)
+
+
 def test_libyaml_loader_used_when_available(monkeypatch):
     if not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML built without libyaml")
+    expected = parse_scenario(MINIMAL)
     used = _spy_on_loaders(monkeypatch)
-    parse_scenario(MINIMAL)
+    assert parse_scenario(_outside_subset(MINIMAL)) == expected
     assert used == [yaml.CSafeLoader]
 
 
@@ -300,9 +308,25 @@ def test_pure_python_fallback_parses_shipped_files(monkeypatch):
     games = [load_game(p) for p in SHIPPED_GAMES]
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     used = _spy_on_loaders(monkeypatch)
-    assert [load_scenario(p) for p in SHIPPED_SCENARIOS] == scenarios
-    assert [load_game(p) for p in SHIPPED_GAMES] == games
+    texts = [_outside_subset(p.read_text(encoding="utf-8")) for p in SHIPPED_SCENARIOS + SHIPPED_GAMES]
+    assert [parse_scenario(t) for t in texts[: len(scenarios)]] == scenarios
+    assert [parse_game(t) for t in texts[len(scenarios):]] == games
     assert set(used) == {yaml.SafeLoader}
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["chosen", "fallback"])
+def test_plain_documents_are_read_without_a_yaml_loader(monkeypatch, fallback):
+    # The subset reader reads every document the package ships or serializes,
+    # and the benchmark's test data, whichever loader PyYAML offers.
+    texts = [p.read_text(encoding="utf-8") for p in SHIPPED_SCENARIOS + SHIPPED_GAMES + TESTDATA]
+    texts += [MINIMAL] + [serialize_scenario(load_scenario(p)) for p in SHIPPED_SCENARIOS]
+    texts += [serialize_game(load_game(p)) for p in SHIPPED_GAMES + TESTDATA]
+    expected = [yaml.load(text, Loader=yaml.SafeLoader) for text in texts]
+    if fallback:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    used = _spy_on_loaders(monkeypatch)
+    assert [_parse_yaml(text) for text in texts] == expected
+    assert used == []
 
 
 # Documents on both sides of every rule in `_document`: what it builds itself
@@ -448,8 +472,8 @@ def test_document_tags_scalars_as_pyyaml(value, plain):
 
 def _yaml_text(node, block, pad=""):
     """`node` as YAML: a scalar in its quoting style, or a list or dict of nodes
-    in flow style, or in block style under `block`; each with its decoration
-    (an anchor, a tag, or an alias that stands in for the node)."""
+    in block style `block` levels deep and in flow style below; each with its
+    decoration (an anchor, a tag, or an alias that stands in for the node)."""
     deco, value = node
     if deco.startswith("*"):
         return deco
@@ -462,13 +486,13 @@ def _yaml_text(node, block, pad=""):
     if not (block and value):
         if pairs:
             return deco + "{%s}" % ", ".join(
-                f"{_yaml_text(k, False)}: {_yaml_text(v, False)}" for k, v in value.items()
+                f"{_yaml_text(k, 0)}: {_yaml_text(v, 0)}" for k, v in value.items()
             )
-        return deco + "[%s]" % ", ".join(_yaml_text(v, False) for v in value)
+        return deco + "[%s]" % ", ".join(_yaml_text(v, 0) for v in value)
     if pairs:
-        lines = [f"{pad}{_yaml_text(k, False)}: {_yaml_text(v, True, inner)}" for k, v in value.items()]
+        lines = [f"{pad}{_yaml_text(k, 0)}: {_yaml_text(v, block - 1, inner)}" for k, v in value.items()]
     else:
-        lines = [f"{pad}- {_yaml_text(v, True, inner)}" for v in value]
+        lines = [f"{pad}- {_yaml_text(v, block - 1, inner)}" for v in value]
     return deco + "\n" + "\n".join(lines)
 
 
@@ -490,12 +514,146 @@ _NODES = st.recursive(
 )
 
 
-@given(node=_NODES, block=st.booleans())
+@given(node=_NODES, block=st.integers(0, 9))
 def test_parse_yaml_builds_what_yaml_load_builds_generated(node, block):
     text = _yaml_text(node, block) + "\n"
     for loader in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
         with mock.patch.object(yaml, "CSafeLoader", loader, create=True):
             _assert_loads_as_yaml_load(text, loader)
+
+
+# Words of every kind a plain scalar can be: names, the bool and null words in
+# their three casings, and numbers in each form YAML 1.1 gives, most of which
+# JSON reads otherwise or not at all. Keys are mostly names.
+_NAMES = st.builds(
+    str.__add__, st.sampled_from(string.ascii_letters + "_"), st.text(string.ascii_letters + string.digits + "_.+-", max_size=6)
+)
+_NUMBERS = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.floats(allow_nan=False).map(lambda x: re.sub(r"^(-?[0-9]+)e", r"\1.0e", repr(x))),
+    st.floats(allow_nan=False).map(repr),
+    st.floats(min_value=1e16).map(lambda x: repr(x).replace("e+", "e")),
+)
+_SPECIAL = st.sampled_from(
+    [w for b in "yes no true false on off null".split() for w in (b, b.title(), b.upper())]
+    + "1e5 1.0e5 1.0e-09 1. .5 007 +3 -0 1_000 0x1F 1:30 2001-12-14 -Infinity NaN".split()
+)
+_PLAIN_WORDS = st.integers(0, 9).flatmap(lambda i: _NAMES if i < 5 else _NUMBERS if i < 8 else _SPECIAL)
+_KEYS = st.integers(0, 4).flatmap(lambda i: _PLAIN_WORDS if i == 0 else _NAMES)
+_PLAIN_NODES = st.recursive(
+    _PLAIN_WORDS.map(lambda word: ("", (word, ""))),
+    lambda children: st.tuples(
+        st.just(""),
+        st.lists(children, max_size=3)
+        | st.dictionaries(_KEYS.map(lambda key: ("", (key, ""))), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+# Edits that may take a document out of the subset: each turns one match of
+# its pattern into its template.
+_EDITS = {
+    "comment": (r"\n", "\n  # note\n"),
+    "trailing-comment": (r"\n", " # note\n"),
+    "indent": (r"\n", "\n "),
+    "dedent": (r"\n ", "\n"),
+    "no-space-colon": (r"([{,] *[A-Za-z0-9_.+-]+): ", r"\1:"),  # in a flow mapping
+    "trailing-comma": (r"(?<=[^[{])(?=[]}])", ","),
+}
+
+
+@st.composite
+def _plain_documents(draw):
+    """A document in or near the subset `_plain` reads, with up to two edits:
+    a comment, an indent off by one, `a:1`, a trailing comma."""
+    top = st.dictionaries(_NAMES.map(lambda key: ("", (key, ""))), _PLAIN_NODES, min_size=1, max_size=4)
+    top |= st.lists(_PLAIN_NODES, min_size=1, max_size=4)
+    node = draw(st.tuples(st.just(""), top) | _PLAIN_NODES)
+    text = _yaml_text(node, draw(st.integers(1, 3))) + "\n"
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        pattern, new = _EDITS[draw(st.sampled_from(sorted(_EDITS)))]
+        spots = list(re.finditer(pattern, text))
+        if spots:
+            spot = draw(st.sampled_from(spots))
+            text = text[: spot.start()] + spot.expand(new) + text[spot.end():]
+    return text
+
+
+def test_plain_subset_builds_what_yaml_load_builds():
+    # Every document `_plain` reads is yaml.load's, under both loaders, and a
+    # quarter of the generated ones at least are read by it, not left to the
+    # event loop.
+    read = []
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(text=_plain_documents())
+    def check(text):
+        read.append(document._plain(text) is not _OTHER)
+        for loader in {yaml.SafeLoader, getattr(yaml, "CSafeLoader", yaml.SafeLoader)}:
+            with mock.patch.object(yaml, "CSafeLoader", loader, create=True):
+                _assert_loads_as_yaml_load(text, loader)
+
+    check()
+    print(f"read by the subset: {sum(read)} of {len(read)}")
+    assert sum(read) >= len(read) / 4
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("a: 1.0e-09\nb: -0\nc: [x, 2]\n", {"a": 1e-09, "b": 0, "c": ["x", 2]}),
+    ("a: Yes\nb: off\nc: NULL\nd:\n", {"a": True, "b": False, "c": None, "d": None}),
+    ("a:\n- k: v\n  l:\n  - 1\nb: {c: {d: [e]}}\n", {"a": [{"k": "v", "l": [1]}], "b": {"c": {"d": ["e"]}}}),
+    ("# comment\n\n- x\n-\n  # comment\n  y: 1\n", ["x", {"y": 1}]),
+])
+def test_plain_subset_reads(text, expected):
+    assert repr(document._plain(text)) == repr(expected)
+
+
+@pytest.mark.parametrize("text", [
+    "a: 1e5\n", "a: 1.0e5\n", "a: 1.\n", "a: .5\n", "a: 007\n", "a: +3\n", "a: 1_000\n",
+    "a: 0x1F\n", "a: 1:30\n", "a: 2001-12-14\n", "a: -Infinity\n", "a: [b:1]\n", "a: {b:1}\n",
+    "a: b:1\n", "a: [b, c,]\n", "true: 1\n", "a: {null: 1}\n", "1: a\n", "a: [b], [c]\n",
+    "- [b], [c]\n", "a: b, c\n", "a: 'b'\n", "a: b # c\n", "a: &x b\n", "a: b\n  c\n",
+    " a: 1\nb: 2\n", "a:\n  b: 1\n c: 2\n", "a: [[[[[b]]]]]\n", "%s: 1\n" % ("k" * 1001),
+    "a: {%s: 1}\n" % ("k" * 1001), "a: 1\r\n", "a:\tb\n", "a: b\u00e9\n", "b\n", "", "# only\n",
+    "---\na: 1\n",
+])
+def test_plain_subset_leaves_other_text(text):
+    # Text yaml.load reads otherwise than JSON would, or rejects, or that the
+    # subset does not cover, goes to the event loop.
+    assert document._plain(text) is _OTHER
+
+
+def _deep(depth, form):
+    """A document `depth` collections deep."""
+    if form == "block":
+        return "".join(" " * i + "k:\n" for i in range(depth - 1)) + " " * (depth - 1) + "k: 1\n"
+    return ("&a " if form == "anchored" else "") + "[" * depth + "]" * depth + "\n"
+
+
+@pytest.mark.parametrize("form", ["flow", "anchored", "block"])
+def test_nesting_is_bounded_at_100_levels(yaml_loader, form):
+    text = _deep(100, form)
+    assert repr(_parse_yaml(text)) == repr(yaml.load(text, Loader=yaml_loader))
+    with pytest.raises(yaml.YAMLError, match="^nesting deeper than 100 levels$"):
+        _parse_yaml(_deep(101, form))
+
+
+@pytest.mark.parametrize("anchor", ["", "&a "], ids=["plain", "anchored"])
+def test_deep_document_is_a_diagnostic_before_yaml_load(yaml_loader, monkeypatch, anchor):
+    # On this document yaml.load dies in libyaml (SIGSEGV) or raises
+    # RecursionError in PyYAML; libyaml takes about a minute just to parse it
+    # without the anchor. Its depth is checked before yaml.load could see it.
+    text = f"schema_version: 1\nmatrix_game: {anchor}{{x: " + "[" * 100_000 + "]" * 100_000 + "}\n"
+    monkeypatch.setattr(yaml, "load", _refuse)
+    assert document._plain(text) is _OTHER
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_game(text)
+    assert str(info.value) == "[game] -: not valid YAML: nesting deeper than 100 levels"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("yaml.load called")
 
 
 @pytest.mark.parametrize("parse", [parse_scenario, parse_game], ids=["scenario", "game"])
@@ -507,10 +665,7 @@ def test_documents_are_built_without_yaml_load(yaml_loader, monkeypatch, parse):
         m.setattr(document, "_parse_yaml", lambda text: yaml.load(text, Loader=yaml_loader))
         expected = [parse(text) for text in texts]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("yaml.load called")
-
-    monkeypatch.setattr(yaml, "load", refuse)
+    monkeypatch.setattr(yaml, "load", _refuse)
     assert [parse(text) for text in texts] == expected
 
 
