@@ -57,7 +57,10 @@ def _parse_seeds(spec):
 
 def _seeds(args, scenario):
     if args.seeds is not None:
-        return list(_parse_seeds(args.seeds))
+        seeds = list(_parse_seeds(args.seeds))
+        if args.out is None and args.metrics is None:  # a sweep prints no trace
+            raise ValueError("--seeds writes only to --out and --metrics; give one or both")
+        return seeds
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
     return [args.seed if args.seed is not None else scenario.seed]

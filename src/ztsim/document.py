@@ -75,92 +75,29 @@ def _section(section):
         raise ScenarioFormatError(section, "-", f"{type(exc).__name__}: {exc}") from exc
 
 
-_INT, _FLOAT = "tag:yaml.org,2002:int", "tag:yaml.org,2002:float"
-# Forms that int() and float() read as PyYAML does; octal, `_`, base 60 and .inf are its own.
-_PLAIN_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]*)").fullmatch
-_PLAIN_FLOAT = re.compile(r"[-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?").fullmatch
-_OTHER = object()  # no key read yet; as a document, one that yaml.load builds
+_OTHER = object()  # not a document `_plain` reads
 _STARTS = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
 _ENDS = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
-_TOO_DEEP = f"nesting deeper than {MAX_DEPTH} levels"
 
 
-def _rest(get, event, depth):
-    """_OTHER, once the events are read that yaml.load composes from `event`
-    on, in `depth` open collections: it never sees a document nested deeper
-    than MAX_DEPTH. Reading stops where its composer fails first, at an
-    undefined alias or a repeated anchor."""
-    anchors = set()
+def _check_depth(get):
+    """Read the events `get` returns, from the start of the stream, as far as
+    yaml.load composes them, so that it never sees a document nested deeper than
+    MAX_DEPTH. Reading stops where its composer fails first, at an undefined
+    alias or a repeated anchor, and at the end of the first document."""
+    depth, anchors = 0, set()
     while True:
+        event = get()
         cls, anchor = type(event), getattr(event, "anchor", None)
+        if cls is yaml.DocumentEndEvent or cls is yaml.StreamEndEvent:
+            return
         if anchor is not None:
             if (anchor in anchors) != (cls is yaml.AliasEvent):
-                return _OTHER
+                return
             anchors.add(anchor)
         depth += (cls in _STARTS) - (cls in _ENDS)
         if depth > MAX_DEPTH:
-            raise yaml.YAMLError(_TOO_DEEP)
-        if not depth:
-            return _OTHER
-        event = get()
-
-
-def _document(loader):
-    """The document `loader` composes and constructs, built from its events on a
-    stack of dicts and lists. A plain scalar takes the first implicit resolver
-    listed under its first character that matches: the safe loaders have no path
-    resolvers. Anchors, aliases, tags, `<<` and `=`, collection keys, a second
-    document and a scalar that its constructor rejects make it return _OTHER,
-    after it reads on to the end of the collections open there."""
-    get, resolvers = loader.get_event, loader.yaml_implicit_resolvers
-    get()  # StreamStartEvent
-    if type(get()) is yaml.StreamEndEvent:
-        return None
-    root = top = []
-    key, stack = _OTHER, []
-    while True:
-        event = get()
-        cls = type(event)
-        if cls is yaml.ScalarEvent:
-            if event.anchor is not None or event.tag is not None:
-                return _rest(get, event, len(stack))
-            value = event.value
-            if event.implicit[0]:
-                for tag, regexp in resolvers.get(value[:1], ()):
-                    if regexp.match(value):
-                        if tag == _INT and _PLAIN_INT(value):
-                            value = int(value)
-                        elif tag == _FLOAT and _PLAIN_FLOAT(value):
-                            value = float(value)
-                        else:
-                            try:  # `<<` and `=` have no constructor
-                                value = loader.construct_object(yaml.ScalarNode(tag, value))
-                            except (yaml.YAMLError, ValueError):  # yaml.load raises its first error
-                                return _rest(get, event, len(stack))
-                        break
-        elif cls is yaml.MappingStartEvent or cls is yaml.SequenceStartEvent:
-            if (event.anchor is not None or event.tag is not None
-                    or type(top) is dict and key is _OTHER):  # a collection as a key
-                return _rest(get, event, len(stack))
-            stack.append((top, key))
-            if len(stack) > MAX_DEPTH:
-                raise yaml.YAMLError(_TOO_DEEP)
-            top, key = {} if cls is yaml.MappingStartEvent else [], _OTHER
-            continue
-        elif cls is yaml.MappingEndEvent or cls is yaml.SequenceEndEvent:
-            value = top
-            top, key = stack.pop()
-        elif cls is yaml.DocumentEndEvent:
-            return root[0] if type(get()) is yaml.StreamEndEvent else _OTHER
-        else:  # AliasEvent
-            return _rest(get, event, len(stack))
-        if type(top) is list:
-            top.append(value)
-        elif key is _OTHER:
-            key = value
-        else:
-            top[key] = value
-            key = _OTHER
+            raise yaml.YAMLError(f"nesting deeper than {MAX_DEPTH} levels")
 
 
 # `_plain` reads lines of these forms, besides blank lines and comment lines:
@@ -168,7 +105,7 @@ def _document(loader):
 # a word or a one-line flow collection nested at most _FLOW_DEPTH deep; a word
 # is a run of [A-Za-z0-9_.+-], and a key one of at most 1000 (YAML allows 1024).
 # Any other line, a `:` that a space does not follow, or a flow word of more
-# than 1000 characters leaves the text to `_document`.
+# than 1000 characters leaves the text to yaml.load.
 _FLOW_DEPTH, _KEY = 4, r"[A-Za-z0-9_.+-]{1,1000}"
 _FLOW = "[A-Za-z0-9_.+, :-]*"  # json.loads rejects `[k: v]`, `{v}`, `[v,]` and `[v}`
 for _ in range(_FLOW_DEPTH - 1):
@@ -179,7 +116,7 @@ _LINES = re.compile(
 ).findall
 _BAD_COLON, _LONG_WORD = re.compile(r":[^ ]").search, re.compile(r"[A-Za-z0-9_.+-]{1001}").search
 # Every word but a number is quoted for json.loads, and a word YAML reads as a
-# bool or null is then written as JSON's. The text is left to `_document` if a
+# bool or null is then written as JSON's. The text is left to yaml.load if a
 # letter is left outside the quotes once the exponents are taken out that YAML
 # reads as JSON does, after a fraction and signed: `1e5`, `1.0e5` and
 # `-Infinity` are numbers to JSON and strings to YAML.
@@ -234,7 +171,7 @@ def _plain(text):
             out.append(item)
         else:
             pending, under_key = col, False
-        if len(stack) > MAX_DEPTH - _FLOW_DEPTH:  # near the bound, `_document` counts exactly
+        if len(stack) > MAX_DEPTH - _FLOW_DEPTH:  # near the bound, `_check_depth` counts exactly
             return _OTHER
         if len(value or item) > 1000 and _LONG_WORD(value or item):
             return _OTHER
@@ -261,18 +198,18 @@ def _plain(text):
 def _parse_yaml(text):
     """`yaml.load(text, Loader=base)`, where base is libyaml's loader when PyYAML
     has it; `text` is str or bytes. A document nested deeper than MAX_DEPTH is a
-    YAMLError. `_plain` reads the plain documents, `_document` most others, and
-    yaml.load builds only what neither does."""
+    YAMLError. `_plain` reads the plain documents, and yaml.load every other one
+    once `_check_depth` has read it."""
     doc = _plain(text)
     if doc is not _OTHER:
         return doc
     base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     loader = base(text)
     try:
-        doc = _document(loader)
+        _check_depth(loader.get_event)
     finally:
         loader.dispose()
-    return yaml.load(text, Loader=base) if doc is _OTHER else doc
+    return yaml.load(text, Loader=base)
 
 
 def _load_yaml(text, what):
