@@ -66,11 +66,6 @@ def _seeds(args, scenario):
     return [args.seed if args.seed is not None else scenario.seed]
 
 
-def _seeded_path(path, seed):
-    p = Path(path)
-    return p.with_name(f"{p.stem}.seed{seed}{p.suffix}")
-
-
 def _write_trace(records, out_path):
     """emit_trace to stdout or to a new file; a file that cannot be opened
     is a sink failure before the first record."""
@@ -93,14 +88,16 @@ def cmd_run(args) -> int:
         return EXIT_VALIDATION
 
     sweep = args.seeds is not None  # laid out per seed, even for one seed
+    if sweep and args.out is not None:  # trace.jsonl -> trace.seed{N}.jsonl
+        p = Path(args.out)
+        head, tail = str(p.with_name(f"{p.stem}.seed")), p.suffix
     chunks = []  # metrics text per seed, written once every seed has run
     try:
         for seed, trace in zip(seeds, run_seeds(scenario, seeds)):
-            out_path = args.out
-            if out_path is not None and sweep:
-                out_path = _seeded_path(out_path, seed)
-            if out_path is not None or not sweep:
-                _write_trace(trace, out_path)
+            if not sweep:
+                _write_trace(trace, args.out)
+            elif args.out is not None:
+                _write_trace(trace, f"{head}{seed}{tail}")
             if args.metrics is not None:
                 chunks.append(metrics_text(trace, compute_metrics(trace)))
     except ZtsimError as exc:

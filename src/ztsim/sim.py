@@ -40,8 +40,9 @@ DENY = "deny"
 DECISIONS = (GRANT, CHALLENGE, DENY)  # the kernel's decision codes 0, 1, 2
 _DENY_CODE = 2
 # Pre-drawn doubles per batch of seeds: the kernel runs
-# max(1, _CHUNK_DRAWS // (2 * horizon * entities)) seeds at a time.
-_CHUNK_DRAWS = 1 << 20
+# max(1, _CHUNK_DRAWS // (2 * horizon * entities)) seeds at a time, and a
+# batch's score text lives as long as the batch.
+_CHUNK_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,13 @@ class SimTrace:
     nothing was observed), scores before and after the update (int 0 when no
     type is trusted, as `trust_score` returns), and the final mass in
     `compiled.types` order. `records` and `final` build the labeled view.
-    Traces compare by that view: scenario, records and final state."""
+    Traces compare by that view: scenario, records and final state.
+
+    The kernel also fills in, once per batch of seeds: the repr of each
+    score, [tick][entity], which is the text json.dumps writes for it (the
+    trace lines and the metrics trajectories share it); and per entity the
+    first tick whose after-score is below the deny threshold (None if none)
+    and whether any tick denied it."""
 
     scenario: Scenario
     compiled: "CompiledScenario"
@@ -167,6 +174,10 @@ class SimTrace:
     before: np.ndarray
     after: np.ndarray
     mass: np.ndarray
+    before_text: list
+    after_text: list
+    detection: list
+    denied: list
 
     @cached_property
     def records(self) -> tuple:
@@ -187,11 +198,6 @@ class SimTrace:
                     score_after=f,
                 ))
         return tuple(out)
-
-    # The repr of each score, [tick][entity], which is the text json.dumps
-    # writes for it: the trace lines and the metrics trajectories share it.
-    before_text = cached_property(lambda self: [list(map(repr, r)) for r in self.before.tolist()])
-    after_text = cached_property(lambda self: [list(map(repr, r)) for r in self.after.tolist()])
 
     @cached_property
     def final(self) -> SimState:
@@ -308,16 +314,25 @@ def _entity_stream_key(entity_id):
     return [int.from_bytes(digest[i : i + 4], "big") for i in range(0, 16, 4)]
 
 
-def entity_rngs(scenario: Scenario, seed=None):
+def entity_rngs(scenario: Scenario, seed=None, keys=None):
     """One independent PCG64 generator per entity, keyed by (seed, sha256(id))
-    so streams do not depend on entity order."""
+    so streams do not depend on entity order. `keys`, the entities' stream
+    keys in order, spares hashing the ids again."""
     seed = scenario.seed if seed is None else seed
+    keys = keys or [_entity_stream_key(e.id) for e in scenario.entities]
     return {
-        e.id: np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence([int(seed)] + _entity_stream_key(e.id)))
-        )
-        for e in scenario.entities
+        e.id: np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(seed)] + key)))
+        for e, key in zip(scenario.entities, keys)
     }
+
+
+def _score_text(scores):
+    """The repr of each score, as an object array of `scores`' shape.
+    Scores are told apart by their bits, so 0.0 and -0.0 keep their own
+    text, and `repr` runs once per distinct value."""
+    distinct, inverse = np.unique(scores.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, distinct.view(scores.dtype).tolist())), dtype=object)
+    return text[inverse.reshape(scores.shape)]
 
 
 def initial_state(scenario: Scenario) -> SimState:
@@ -353,6 +368,7 @@ class CompiledScenario:
         self.k = math.exp(-policy.decay_rate * 1)
         entities = scenario.entities
         self.ids = tuple(e.id for e in entities)
+        self.stream_keys = [_entity_stream_key(eid) for eid in self.ids]
         profiles = [scenario.profiles[e.profile] for e in entities]
         self.actions = tuple(p.behavior.actions for p in profiles)
         self.evidence_values = tuple(p.evidence.evidence_values for p in profiles)
@@ -384,14 +400,15 @@ class CompiledScenario:
         """Run `seeds` as one batch of lanes, lane = seed index * entities +
         entity index. Returns an iterator over the traces of the seeds before
         the first seed that raised, built one at a time so each can be freed
-        once used, and that seed's exception (None if none raised)."""
+        once used, and that seed's exception (None if none raised). Score
+        text and metric reductions are made once for those seeds' lanes."""
         sc, policy = self.scenario, self.scenario.policy
         s_count, n, h = len(seeds), len(self.ids), sc.horizon
         lanes = np.arange(s_count * n)
         ent = lanes % n if n else lanes
         draws = np.empty((len(lanes), 2 * h))
         for s, seed in enumerate(seeds):
-            rngs = entity_rngs(sc, seed)
+            rngs = entity_rngs(sc, seed, self.stream_keys)
             for i, eid in enumerate(self.ids):
                 rngs[eid].random(out=draws[s * n + i])
         cursor = np.zeros(len(lanes), dtype=np.int64)
@@ -430,12 +447,20 @@ class CompiledScenario:
             before[tick - 1] = b
             after[tick - 1] = trust._score_rows(mass, self.n_trusted)
         done = min(errors, default=s_count)
-        traces = (
-            SimTrace(sc, self, *(x[:, s * n : (s + 1) * n] for x in (decision, action, evidence, before, after)),
-                     mass[s * n : (s + 1) * n])
-            for s in range(done)
-        )
-        return traces, errors.get(done)
+        m = done * n  # the lanes of the seeds that completed
+        text = _score_text(np.stack((before[:, :m], after[:, :m]))).reshape(2, h, done, n)
+        detected = after[:, :m] < policy.deny_threshold
+        first, ever = (detected.argmax(axis=0) + 1).tolist(), detected.any(axis=0).tolist()
+        detection = [t if hit else None for t, hit in zip(first, ever)]
+        denied = (decision[:, :m] == _DENY_CODE).any(axis=0).tolist()
+
+        def traces():
+            for s in range(done):
+                lo, hi = s * n, (s + 1) * n
+                columns = (x[:, lo:hi] for x in (decision, action, evidence, before, after))
+                yield SimTrace(sc, self, *columns, mass[lo:hi], *text[:, :, s].tolist(), detection[lo:hi], denied[lo:hi])
+
+        return traces(), errors.get(done)
 
 
 def run_seeds(scenario: Scenario, seeds):
@@ -461,19 +486,17 @@ def run(scenario: Scenario, seed=None) -> SimTrace:
 
 def compute_metrics(trace: SimTrace) -> Metrics:
     """Per-entity detection time, false-lockout flag, final score, and the
-    full after-score trajectory, read from the trace's columns."""
+    full after-score trajectory, read from the trace's after-scores and the
+    detection and denial its batch reduced once for every seed."""
     if not trace.scenario.entities:
         raise ValidationError("trace is empty")
     trusted = trace.scenario.space.trusted
-    detected = trace.after < trace.scenario.policy.deny_threshold
-    first = (detected.argmax(axis=0) + 1).tolist()
-    ever = detected.any(axis=0).tolist()
-    denied = (trace.decision == _DENY_CODE).any(axis=0).tolist()
+    rows = zip(trace.scenario.entities, trace.after.T.tolist(), trace.detection, trace.denied)
     out = {}
-    for n, (entity, trajectory) in enumerate(zip(trace.scenario.entities, trace.after.T.tolist())):
+    for entity, trajectory, detection, denied in rows:
         out[entity.id] = EntityMetrics(
-            time_to_detection=first[n] if ever[n] else None,
-            false_lockout=entity.true_type in trusted and denied[n],
+            time_to_detection=detection,
+            false_lockout=entity.true_type in trusted and denied,
             final_score=trajectory[-1],
             trajectory=tuple(trajectory),
         )

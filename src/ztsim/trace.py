@@ -65,32 +65,36 @@ def _fragments(compiled):
     return width, n_e, ids, ascii_ids, [tables[labels] for labels in zip(compiled.actions, compiled.evidence_values)]
 
 
-def _sim_lines(trace: SimTrace):
-    """The lines `json.dumps` writes for `trace.records`, built from the
-    fragments and the trace's score text."""
+def _sim_ticks(trace: SimTrace):
+    """The lines `json.dumps` writes for `trace.records`, one string per
+    tick, built from the fragments and the trace's score text."""
     width, n_e, ids, _, tables = _fragments(trace.compiled)
     observed = trace.action >= 0
     codes = trace.decision * width + observed * (1 + trace.action * n_e + trace.evidence)
     rows = zip(codes.tolist(), trace.before_text, trace.after_text)
     for tick, (code, before, after) in enumerate(rows, start=1):
         head = f'{{"schema_version": {TRACE_SCHEMA_VERSION}, "tick": {tick}, "entity": '
-        for eid, table, c, b, a in zip(ids, tables, code, before, after):
-            yield f'{head}{eid}, {table[c]}, "score_before": {b}, "score_after": {a}}}\n'
+        yield "".join([f'{head}{eid}, {table[c]}, "score_before": {b}, "score_after": {a}}}\n'
+                       for eid, table, c, b, a in zip(ids, tables, code, before, after)])
 
 
 def emit_trace(records, sink) -> int:
     """Write one JSON object per line, UTF-8, fixed key order. `records` is a
-    SimTrace or an iterable of StepRecords and dicts. Returns the record
-    count; a sink failure raises TraceWriteError carrying the partial
-    count."""
-    lines = _sim_lines(records) if isinstance(records, SimTrace) else map(_dumps, records)
+    SimTrace, written one tick per write, or an iterable of StepRecords and
+    dicts, one per write. Returns the record count; a sink failure raises
+    TraceWriteError carrying the count of records in the writes that
+    succeeded (whole ticks for a SimTrace)."""
+    if isinstance(records, SimTrace):
+        chunks, size = _sim_ticks(records), len(records.compiled.ids)
+    else:
+        chunks, size = map(_dumps, records), 1
     written = 0
-    for line in lines:
+    for chunk in chunks:
         try:
-            sink.write(line)
+            sink.write(chunk)
         except OSError as exc:
             raise TraceWriteError(written, exc) from exc
-        written += 1
+        written += size
     return written
 
 

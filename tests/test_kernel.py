@@ -13,6 +13,7 @@ import io
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -250,6 +251,14 @@ def test_no_trusted_type_scores_are_int_zero():
     assert kernel_outcome(scenario, 0) == reference_outcome(scenario, 0)
 
 
+def test_score_text_gives_each_distinct_score_its_own_repr():
+    scores = np.array([[[0.0, -0.0, 5e-324], [1.0, 0.0, -0.0]], [[5e-324, 1.0, 0.1], [0.0, 0.0, 1.0]]])
+    assert sim._score_text(scores).tolist() == [[[repr(x) for x in row] for row in side] for side in scores.tolist()]
+    assert sim._score_text(scores)[0, 0].tolist() == ["0.0", "-0.0", "5e-324"]
+    ints = np.zeros((2, 3), dtype=np.int64)  # the scores when no type is trusted
+    assert sim._score_text(ints).tolist() == [["0", "0", "0"], ["0", "0", "0"]]
+
+
 def _two_type_scenario(behavior, evidence, score, seed=0, horizon=1):
     return Scenario(
         space=TypeSpace(("A", "B"), {"A"}),
@@ -368,6 +377,28 @@ def test_zero_probability_sweep_exits_like_seed_by_seed(tmp_path, capsys):
     for s in seeds[:failing]:
         records, _ = fold(scenario, s)
         assert (tmp_path / f"trace.seed{s}.jsonl").read_text(encoding="utf-8") == text(records)
+
+
+def test_lanes_of_a_raising_seed_get_no_score_text():
+    scenario = _zero_probability_scenario(horizon=3)
+    seeds = range(0, 12)
+    failing = len(reference_sweep(scenario, seeds)) - 1
+    assert failing % 3, "the raising seed must share its batch with seeds that completed"
+    given, score_text = [], sim._score_text
+
+    def spy(scores):
+        given.append(scores.shape)
+        return score_text(scores)
+
+    traces = []
+    with mock.patch.object(sim, "_CHUNK_DRAWS", 2 * 3 * 3), mock.patch.object(sim, "_score_text", spy):
+        with pytest.raises(ZeroProbabilityObservation):
+            traces.extend(run_seeds(scenario, seeds))
+    assert sum(shape[-1] for shape in given) == failing * len(scenario.entities)
+    assert len(traces) == failing
+    for trace in traces:
+        assert trace.before_text == [[repr(x) for x in row] for row in trace.before.tolist()]
+        assert trace.after_text == [[repr(x) for x in row] for row in trace.after.tolist()]
 
 
 def test_scenario_rejects_profile_missing_a_type():

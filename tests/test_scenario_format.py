@@ -254,6 +254,19 @@ def test_emit_trace_partial_failure_reports_count(scenarios_dir):
     assert info.value.written == 1
 
 
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_emit_sim_trace_failure_counts_whole_ticks(scenarios_dir, k):
+    trace = run(load_scenario(scenarios_dir / "apt_stealth.yaml"))
+    entities = len(trace.scenario.entities)
+    assert entities > 1 and trace.scenario.horizon > k
+    with pytest.raises(TraceWriteError) as info:
+        emit_trace(trace, _FailingSink(after=k))
+    assert info.value.written == k * entities
+    sink = _FailingSink(after=trace.scenario.horizon)  # one write per tick
+    assert emit_trace(trace, sink) == trace.scenario.horizon * entities
+    assert sink.lines == trace.scenario.horizon
+
+
 def test_metrics_to_dict_shape(scenarios_dir):
     from ztsim.sim import compute_metrics
 
