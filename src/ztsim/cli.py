@@ -60,6 +60,8 @@ def _seeds(args, scenario):
         seeds = list(_parse_seeds(args.seeds))
         if args.out is None and args.metrics is None:  # a sweep prints no trace
             raise ValueError("--seeds writes only to --out and --metrics; give one or both")
+        if args.out is not None and not Path(args.out).name:  # nothing to add .seed<N> to
+            raise ValueError(f"--seeds needs an --out path that ends in a file name, got {args.out!r}")
         return seeds
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")

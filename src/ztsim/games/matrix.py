@@ -91,9 +91,6 @@ class MixedStrategy:
             raise ValidationError(f"mixed strategy weights must sum to 1, got {sum(w)}")
         object.__setattr__(self, "weights", tuple(max(0.0, v) for v in w))
 
-    def support(self, tol=1e-9):
-        return tuple(i for i, v in enumerate(self.weights) if v > tol)
-
 
 @dataclass(frozen=True)
 class ZeroSumSolution:

@@ -182,7 +182,7 @@ class SimTrace:
     @cached_property
     def records(self) -> tuple:
         c = self.compiled
-        out = []
+        cls, out = c.cls.tolist(), []
         rows = zip(self.decision.tolist(), self.action.tolist(), self.evidence.tolist(),
                    self.before.tolist(), self.after.tolist())
         for tick, row in enumerate(rows, start=1):
@@ -192,8 +192,8 @@ class SimTrace:
                     tick=tick,
                     entity_id=c.ids[n],
                     decision=DECISIONS[d],
-                    action=c.actions[n][a] if observed else None,
-                    evidence=c.evidence_values[n][e] if observed else None,
+                    action=c.actions[cls[n]][a] if observed else None,
+                    evidence=c.evidence_values[cls[n]][e] if observed else None,
                     score_before=b,
                     score_after=f,
                 ))
@@ -348,12 +348,15 @@ class CompiledScenario:
 
     Types are held in the order `state_from_score` builds a TrustState's mass,
     trusted types first, so the fold of `step` and the kernel hand the `trust`
-    row primitives the same rows. Per entity: the cumulative action
-    distribution of its true type and the cumulative evidence distribution per
-    action, each summed left to right in declared order as `_draw` does, with
-    +inf from the last category on (so sampling picks the first index where
-    u < cum, else the last); and lh[n, a, e, t] = h(e|a,t) * sigma(a|t),
-    multiplied as `bayes_update` does.
+    row primitives the same rows. Entities that share a (profile, true type)
+    share a class, `cls[n]`. Per class: its profile's action and evidence
+    labels; the cumulative action distribution of its true type and the
+    cumulative evidence distribution per action, each summed left to right in
+    declared order as `_draw` does, with +inf from the last category on (so
+    sampling picks the first index where u < cum, else the last); and
+    lh[c, a, e, t] = h(e|a,t) * sigma(a|t), multiplied as `bayes_update` does.
+    Each entity's prior row spreads its composed prior score over the trusted
+    columns and the rest over the others, divided as `state_from_score` does.
     """
 
     def __init__(self, scenario: Scenario):
@@ -369,50 +372,53 @@ class CompiledScenario:
         entities = scenario.entities
         self.ids = tuple(e.id for e in entities)
         self.stream_keys = [_entity_stream_key(eid) for eid in self.ids]
-        profiles = [scenario.profiles[e.profile] for e in entities]
+        classes = {}  # (profile name, true type) -> class index
+        self.cls = np.array(
+            [classes.setdefault((e.profile, e.true_type), len(classes)) for e in entities], dtype=np.intp
+        )
+        profiles = [scenario.profiles[name] for name, _ in classes]
         self.actions = tuple(p.behavior.actions for p in profiles)
         self.evidence_values = tuple(p.evidence.evidence_values for p in profiles)
         n_a = max(map(len, self.actions), default=1)
         n_e = max(map(len, self.evidence_values), default=1)
-        n = len(entities)
-        self.cum_action = np.full((n, n_a), np.inf)
-        self.cum_evidence = np.full((n, n_a, n_e), np.inf)
-        self.lh = np.zeros((n, n_a, n_e, len(self.types)))
-        for i, (e, p) in enumerate(zip(entities, profiles)):
+        self.cum_action = np.full((len(classes), n_a), np.inf)
+        self.cum_evidence = np.full((len(classes), n_a, n_e), np.inf)
+        self.lh = np.zeros((len(classes), n_a, n_e, len(self.types)))
+        for c, ((_, etype), p) in enumerate(zip(classes, profiles)):
             acts, evs = p.behavior.actions, p.evidence.evidence_values
-            self.cum_action[i, : len(acts) - 1] = np.cumsum(
-                [p.behavior.prob(a, e.true_type) for a in acts[:-1]]
+            self.cum_action[c, : len(acts) - 1] = np.cumsum(
+                [p.behavior.prob(a, etype) for a in acts[:-1]]
             )
             for j, a in enumerate(acts):
-                self.cum_evidence[i, j, : len(evs) - 1] = np.cumsum(
-                    [p.evidence.prob(v, a, e.true_type) for v in evs[:-1]]
+                self.cum_evidence[c, j, : len(evs) - 1] = np.cumsum(
+                    [p.evidence.prob(v, a, etype) for v in evs[:-1]]
                 )
                 for m, v in enumerate(evs):
-                    self.lh[i, j, m] = [
+                    self.lh[c, j, m] = [
                         p.evidence.prob(v, a, t) * p.behavior.prob(a, t) for t in self.types
                     ]
-        start = initial_state(scenario).trust
-        self.prior = np.array(
-            [[start[eid].mass[t] for t in self.types] for eid in self.ids], dtype=float
-        ).reshape(n, len(self.types))
+        score = np.array([trust.compose_prior(e.prior_sources) for e in entities]).reshape(-1, 1)
+        trusted = np.arange(len(self.types)) < self.n_trusted
+        count = np.where(trusted, self.n_trusted, len(self.types) - self.n_trusted)
+        self.prior = np.where(trusted, score, 1.0 - score) / count
 
     def run(self, seeds):
         """Run `seeds` as one batch of lanes, lane = seed index * entities +
-        entity index. Returns an iterator over the traces of the seeds before
-        the first seed that raised, built one at a time so each can be freed
-        once used, and that seed's exception (None if none raised). Score
-        text and metric reductions are made once for those seeds' lanes."""
+        entity index. Yields the traces of the seeds before the first seed
+        that raised, one at a time so each can be freed once used, then
+        raises that seed's exception. Score text and metric reductions are
+        made once for those seeds' lanes."""
         sc, policy = self.scenario, self.scenario.policy
         s_count, n, h = len(seeds), len(self.ids), sc.horizon
         lanes = np.arange(s_count * n)
-        ent = lanes % n if n else lanes
+        cls = np.tile(self.cls, s_count)
         draws = np.empty((len(lanes), 2 * h))
         for s, seed in enumerate(seeds):
             rngs = entity_rngs(sc, seed, self.stream_keys)
             for i, eid in enumerate(self.ids):
                 rngs[eid].random(out=draws[s * n + i])
         cursor = np.zeros(len(lanes), dtype=np.int64)
-        cum_action = self.cum_action[ent]
+        cum_action = self.cum_action[cls]
         mass = np.tile(self.prior, (s_count, 1))
         shape = (h, len(lanes))
         decision = np.empty(shape, dtype=np.int64)
@@ -430,13 +436,13 @@ class CompiledScenario:
             u = draws[lanes, cursor]
             a = (u[:, None] < cum_action).argmax(axis=1)
             v = draws[lanes, cursor + 1]
-            e = (v[:, None] < self.cum_evidence[ent, a]).argmax(axis=1)
-            post, z = trust._posterior_rows(mass, self.lh[ent, a, e])
+            e = (v[:, None] < self.cum_evidence[cls, a]).argmax(axis=1)
+            post, z = trust._posterior_rows(mass, self.lh[cls, a, e])
             zero = act & (z <= 0.0)
             for lane in np.flatnonzero(zero).tolist():
                 s, i = divmod(lane, n)
                 errors.setdefault(s, ZeroProbabilityObservation(
-                    self.actions[i][a[lane]], self.evidence_values[i][e[lane]],
+                    self.actions[cls[lane]][a[lane]], self.evidence_values[cls[lane]][e[lane]],
                     tick=tick, entity_id=self.ids[i],
                 ))
             mass = np.where(act[:, None], post, mass)
@@ -446,6 +452,7 @@ class CompiledScenario:
             evidence[tick - 1] = np.where(act, e, -1)
             before[tick - 1] = b
             after[tick - 1] = trust._score_rows(mass, self.n_trusted)
+        del draws  # else the suspended generator holds them while its traces are read
         done = min(errors, default=s_count)
         m = done * n  # the lanes of the seeds that completed
         text = _score_text(np.stack((before[:, :m], after[:, :m]))).reshape(2, h, done, n)
@@ -453,14 +460,12 @@ class CompiledScenario:
         first, ever = (detected.argmax(axis=0) + 1).tolist(), detected.any(axis=0).tolist()
         detection = [t if hit else None for t, hit in zip(first, ever)]
         denied = (decision[:, :m] == _DENY_CODE).any(axis=0).tolist()
-
-        def traces():
-            for s in range(done):
-                lo, hi = s * n, (s + 1) * n
-                columns = (x[:, lo:hi] for x in (decision, action, evidence, before, after))
-                yield SimTrace(sc, self, *columns, mass[lo:hi], *text[:, :, s].tolist(), detection[lo:hi], denied[lo:hi])
-
-        return traces(), errors.get(done)
+        for s in range(done):
+            lo, hi = s * n, (s + 1) * n
+            columns = (x[:, lo:hi] for x in (decision, action, evidence, before, after))
+            yield SimTrace(sc, self, *columns, mass[lo:hi], *text[:, :, s].tolist(), detection[lo:hi], denied[lo:hi])
+        if done < s_count:
+            raise errors[done]
 
 
 def run_seeds(scenario: Scenario, seeds):
@@ -472,10 +477,7 @@ def run_seeds(scenario: Scenario, seeds):
     per_lane = 2 * scenario.horizon * len(scenario.entities)
     chunk = max(1, _CHUNK_DRAWS // per_lane) if per_lane else max(1, len(seeds))
     for lo in range(0, len(seeds), chunk):
-        traces, error = compiled.run(seeds[lo : lo + chunk])
-        yield from traces
-        if error is not None:
-            raise error
+        yield from compiled.run(seeds[lo : lo + chunk])
 
 
 def run(scenario: Scenario, seed=None) -> SimTrace:

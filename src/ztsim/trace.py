@@ -41,15 +41,13 @@ def _dumps(record) -> str:
 @functools.lru_cache(maxsize=1)  # the traces of a sweep share one compiled scenario
 def _fragments(compiled):
     """JSON text per entity: its id, also escaped to ASCII as json.dump does,
-    and a table indexed by decision * width + outcome of the `"decision": ...,
-    "action": ..., "evidence": ...` text, where outcome is 0 for no
-    observation and 1 + action * n_evidence + evidence otherwise."""
+    and its class's table indexed by decision * width + outcome of the
+    `"decision": ..., "action": ..., "evidence": ...` text, where outcome is
+    0 for no observation and 1 + action * n_evidence + evidence otherwise."""
     n_a, n_e = compiled.cum_evidence.shape[1:3]
     width = 1 + n_a * n_e
-    tables = {}
+    tables = []
     for labels in zip(compiled.actions, compiled.evidence_values):
-        if labels in tables:
-            continue
         actions, values = ([json.dumps(x, ensure_ascii=False) for x in xs] for xs in labels)
         table = [None] * (len(DECISIONS) * width)
         for d, name in enumerate(DECISIONS):
@@ -59,10 +57,10 @@ def _fragments(compiled):
                     table[d * width + 1 + i * n_e + j] = (
                         f'"decision": "{name}", "action": {a}, "evidence": {e}'
                     )
-        tables[labels] = table
+        tables.append(table)
     ids = [json.dumps(eid, ensure_ascii=False) for eid in compiled.ids]
     ascii_ids = [json.dumps(eid) for eid in compiled.ids]
-    return width, n_e, ids, ascii_ids, [tables[labels] for labels in zip(compiled.actions, compiled.evidence_values)]
+    return width, n_e, ids, ascii_ids, [tables[c] for c in compiled.cls.tolist()]
 
 
 def _sim_ticks(trace: SimTrace):

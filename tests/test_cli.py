@@ -273,7 +273,8 @@ def test_solve_output_file(game_specs_dir, tmp_path, capsys):
     (["--seeds", "1..x"], "--seeds expects A..B with integer bounds, got '1..x'\n"),
     (["--seeds", "1.5..3"], "--seeds expects A..B with integer bounds, got '1.5..3'\n"),
     (["--seeds", "1..3"], "--seeds writes only to --out and --metrics; give one or both\n"),
-], ids=["seed", "seeds-low", "seeds-both", "seeds-word", "seeds-float", "seeds-no-output"])
+    (["--seeds", "1..2", "--out", "/"], "--seeds needs an --out path that ends in a file name, got '/'\n"),
+], ids=["seed", "seeds-low", "seeds-both", "seeds-word", "seeds-float", "seeds-no-output", "seeds-out-no-name"])
 def test_run_bad_seed_call_exit_one(scenarios_dir, capsys, argv, reason):
     scenario = str(scenarios_dir / "apt_stealth.yaml")
     code, out, err = run_cli(["run", "--scenario", scenario] + argv, capsys)

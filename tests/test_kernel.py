@@ -24,6 +24,7 @@ from ztsim.errors import ValidationError, ZeroProbabilityObservation, ZtsimError
 from ztsim.scenario import serialize_scenario
 from ztsim.sim import (
     DENY,
+    CompiledScenario,
     EntitySpec,
     PolicyConfig,
     Profile,
@@ -35,8 +36,15 @@ from ztsim.sim import (
     run_seeds,
     step,
 )
-from ztsim.trace import emit_trace, metrics_to_dict
-from ztsim.trust import BehaviorModel, EvidenceModel, TrustState, TypeSpace
+from ztsim.trace import emit_trace, metrics_to_dict, step_record_to_dict
+from ztsim.trust import (
+    BehaviorModel,
+    EvidenceModel,
+    TrustState,
+    TypeSpace,
+    compose_prior,
+    state_from_score,
+)
 
 
 def fold(scenario, seed):
@@ -232,6 +240,79 @@ def test_sweep_equals_its_seeds_run_one_at_a_time(scenario, seeds_per_batch):
     per_seed = 2 * scenario.horizon * len(scenario.entities)
     with mock.patch.object(sim, "_CHUNK_DRAWS", seeds_per_batch * per_seed):
         assert sweep_outcomes(scenario, seeds) == reference_sweep(scenario, seeds)
+
+
+def _full_support_profile(actions, values, types, offset):
+    """A profile whose every action and evidence value has positive
+    probability under every type, the probabilities varying with `offset`."""
+    behavior, evidence = {}, {}
+    for k, t in enumerate(types):
+        weights = [1 + (offset + k + i) % 3 for i in range(len(actions))]
+        behavior.update(((t, a), w / sum(weights)) for a, w in zip(actions, weights))
+        for j, a in enumerate(actions):
+            weights = [1 + (offset + k + j + i) % 4 for i in range(len(values))]
+            evidence.update(((a, t, v), w / sum(weights)) for v, w in zip(values, weights))
+    return Profile(BehaviorModel(actions, behavior), EvidenceModel(values, evidence))
+
+
+def test_interleaved_classes_match_the_fold():
+    # Classes (profile, true type) run 0, 1, 0, 1, 2: entity n is not class n,
+    # and the two profiles' action and evidence alphabets differ in size.
+    types = ("S", "T", "U")
+    profiles = {
+        "wide": _full_support_profile(("read", "write", "exec"), ("ok", "odd"), types, 0),
+        "narrow": _full_support_profile(("ping", 4), ("x", "y", "z", "w"), types, 1),
+    }
+    classes = (("wide", "S"), ("narrow", "T"), ("wide", "S"), ("narrow", "T"), ("wide", "U"))
+    scenario = Scenario(
+        space=TypeSpace(types, ("S",)),
+        profiles=profiles,
+        entities=tuple(
+            EntitySpec(f"e{n}", t, p, ((0.2 + 0.15 * n, 1.0), (0.6, 0.5)))
+            for n, (p, t) in enumerate(classes)
+        ),
+        policy=PolicyConfig(0.55, 0.35, decay_rate=0.05),
+        horizon=12,
+        seed=5,  # one whose draws show every label, and a denial
+    )
+    compiled = CompiledScenario(scenario)
+    assert compiled.cls.tolist() == [0, 1, 0, 1, 2]
+    assert compiled.actions == (("read", "write", "exec"), ("ping", 4), ("read", "write", "exec"))
+    records, _ = fold(scenario, scenario.seed)
+    assert {r.decision for r in records} == {"grant", "challenge", "deny"}
+    assert {r.action for r in records} == {"read", "write", "exec", "ping", 4, None}
+    assert {r.evidence for r in records} == {"ok", "odd", "x", "y", "z", "w", None}
+    trace = run(scenario)
+    assert text(trace) == "".join(json.dumps(step_record_to_dict(r)) + "\n" for r in records)
+    assert kernel_outcome(scenario, scenario.seed) == reference_outcome(scenario, scenario.seed)
+
+
+@pytest.mark.parametrize("types, trusted, scores", [
+    (("A", "B", "C"), (), (0.0, 2e-10)),
+    (("A", "B", "C"), ("A", "B", "C"), (1.0, 1 - 2e-10)),
+    (("A", "B", "C"), ("B",), (0.0, 2e-10, 0.3, 1 / 3, 1 - 2e-10, 1.0)),
+    (("A", "B", "C", "D", "E"), ("A", "D"), (0.0, 2e-10, 0.7, 1 - 2e-10, 1.0)),
+], ids=["none-trusted", "all-trusted", "one-of-three", "two-of-five"])
+def test_prior_rows_are_the_spread_of_the_composed_prior(types, trusted, scores):
+    space = TypeSpace(types, trusted)
+    behavior = BehaviorModel(("a",), {(t, "a"): 1.0 for t in types})
+    evidence = EvidenceModel(("e",), {("a", t, "e"): 1.0 for t in types})
+    sources = [((s, 1.0),) for s in scores] + [((s, 2.0), (scores[-1], 1.0)) for s in scores]
+    scenario = Scenario(
+        space=space,
+        profiles={"p": Profile(behavior, evidence)},
+        entities=tuple(EntitySpec(f"e{i}", types[i % len(types)], "p", src) for i, src in enumerate(sources)),
+        policy=PolicyConfig(0.5, 0.0),
+        horizon=1,
+        seed=0,
+    )
+    compiled = CompiledScenario(scenario)
+    expected = np.array([
+        [state_from_score(compose_prior(e.prior_sources), space).mass[t] for t in compiled.types]
+        for e in scenario.entities
+    ])
+    assert compiled.prior.shape == expected.shape
+    assert compiled.prior.tobytes() == expected.tobytes()
 
 
 def test_no_trusted_type_scores_are_int_zero():
