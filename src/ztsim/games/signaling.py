@@ -4,14 +4,28 @@ with a configurable off-path belief rule.
 """
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..errors import EnumerationBudgetExceeded, ValidationError, labels, real, table
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
 OFF_PATH_RULES = ("uniform", "prior", "pessimistic")
+_BLOCK = 1 << 15  # (sender profile, signal) pairs per array pass of find_pbe
+
+
+def left_sum(values):
+    """`sum` as Python 3.10 and 3.11 compute it: from int 0, adding left to
+    right. From 3.12 on `sum` compensates float rounding, so the posterior,
+    the receiver's action values, `find_pbe`'s array pass (which folds numpy
+    columns with it) and the test oracle all use this, and give the same bits
+    on every supported Python."""
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +141,7 @@ def signal_posterior(spec: SignalingGameSpec, sender_strategy, signal, off_path_
         if p_sig < -1e-12 or p_sig > 1 + 1e-12:
             raise ValidationError(f"sender strategy row for {t!r} has invalid probability {p_sig}")
         weights.append(p_sig * spec.prior[t])
-    z = sum(weights)
+    z = left_sum(weights)
     if z > 0:
         return Belief(tuple(w / z for w in weights), on_path=True)
     return Belief(off_path_belief(spec, signal, off_path_rule), on_path=False)
@@ -140,26 +154,12 @@ def receiver_best_response(spec: SignalingGameSpec, belief):
     if abs(sum(probs) - 1.0) > 1e-9:
         raise ValidationError(f"belief must sum to 1, got {sum(probs)}")
     values = [
-        sum(p * spec.receiver_utility[(a, t)] for p, t in zip(probs, spec.types))
+        left_sum(p * spec.receiver_utility[(a, t)] for p, t in zip(probs, spec.types))
         for a in spec.receiver_actions
     ]
     best = max(values)
     winners = [i for i, v in enumerate(values) if v >= best - EQ_TOL]
     return spec.receiver_actions[winners[0]], values[winners[0]], len(winners) > 1
-
-
-def sender_optimal_signal(spec: SignalingGameSpec, ptype, receiver_strategy):
-    """(signal, value, tie flag) maximizing the sender's utility given the
-    receiver's signal-contingent actions; first signal wins ties."""
-    for s in spec.signals:
-        if s not in receiver_strategy:
-            raise ValidationError(f"receiver strategy missing signal {s!r}")
-    values = [
-        spec.sender_utility[(ptype, s, receiver_strategy[s])] for s in spec.signals
-    ]
-    best = max(values)
-    winners = [i for i, v in enumerate(values) if v >= best - EQ_TOL]
-    return spec.signals[winners[0]], values[winners[0]], len(winners) > 1
 
 
 def _classify(spec, sender_map):
@@ -179,13 +179,18 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     is a best response to the belief at its signal, and no sender type gains
     more than EQ_TOL by deviating to another signal.
 
-    A signal's belief depends only on which positive-prior types send it, or,
-    when none does, on the signal alone. So each belief and its tied receiver
-    best responses are computed once per key, with `signal_posterior` and
-    `receiver_best_response`, and shared by every sender profile with that
-    key: on path the tuple of positive-prior sender types, off path the
-    signal. The sender deviation check reads a (type, signal, action) utility
-    table built once per call.
+    Sender profiles are enumerated in blocks of `_BLOCK` (profile, signal)
+    pairs, each one numpy pass. A signal's belief depends only on which
+    positive-prior types send it, a bitmask, or, when none does, on the
+    signal alone. Each block maps its distinct masks to one table of beliefs
+    and receiver replies within EQ_TOL of the best, with the floats of
+    `signal_posterior` and `receiver_best_response`: weights indicator *
+    prior for every type, normalizer and action values folded left to right
+    by `left_sum`. The off-path rows come from `off_path_belief`, once per
+    signal and call. Where every signal has one reply, the sender deviation
+    check runs as array comparisons; a profile with a tied signal checks each
+    product of replies in Python. Only equilibrium profiles get a sender map,
+    `Belief`s and a `BeliefSystem`.
     """
     if off_path_rule not in OFF_PATH_RULES:
         raise ValidationError(f"unknown off-path rule {off_path_rule!r}")
@@ -195,74 +200,79 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     if required > budget:
         raise EnumerationBudgetExceeded(required, budget)
 
-    signals = spec.signals
+    types, signals, actions = spec.types, spec.signals, spec.receiver_actions
+    n, m = len(types), len(signals)
     utility, live = _sender_tables(spec)
-    responses = {}  # key -> (Belief, indices of the receiver's best responses)
+    sender, nested = utility[live], utility.tolist()  # [live type, signal, action]
+    live_ix, j = np.array(live, dtype=np.intp), np.arange(len(live))
+    prior = np.array([spec.prior[t] for t in types])
+    receiver = np.array([spec.receiver_utility[(a, t)] for t in types for a in actions]).reshape(n, -1)
+    # Python ints past 62 live types, which only a one-profile game reaches.
+    bits = np.array([1 << i for i in range(len(live))], np.int64 if len(live) < 63 else object)
+    # With one signal, no signal is ever off path.
+    off = [Belief(off_path_belief(spec, s, off_path_rule), on_path=False) for s in signals] if m > 1 else []
+    off_probs = np.array([b.probs for b in off]).reshape(len(off), n)
+    place = m ** np.arange(n - 1, -1, -1)
+    sig = np.arange(m)
+    total, rows = m**n, max(1, _BLOCK // m)
     results = []
-    for combo in itertools.product(range(len(signals)), repeat=len(spec.types)):
-        sender_map = None  # built only for a cache miss or an equilibrium
-        senders = [[] for _ in signals]
-        for i in live:
-            senders[combo[i]].append(i)
-        at_signal = []
-        for k, s in enumerate(signals):
-            key = tuple(senders[k]) or k
-            if key not in responses:
-                sender_map = sender_map or _sender_map(spec, combo)
-                responses[key] = _belief_and_responses(spec, sender_map, s, off_path_rule)
-            at_signal.append(responses[key])
-        replies = [
-            reply
-            for reply in itertools.product(*(ok for _, ok in at_signal))
-            if not _deviation_exists(utility, live, combo, reply)
-        ]
-        if not replies:
-            continue
-        sender_map = sender_map or _sender_map(spec, combo)
-        sender_strategy = tuple(sender_map.items())
-        beliefs = BeliefSystem(tuple((s, b) for s, (b, _) in zip(signals, at_signal)))
-        classification = _classify(spec, sender_map)
-        for reply in replies:
-            results.append(
-                PBEResult(
-                    sender_strategy=sender_strategy,
-                    receiver_strategy=tuple(
-                        (s, spec.receiver_actions[a]) for s, a in zip(signals, reply)
-                    ),
-                    beliefs=beliefs,
-                    classification=classification,
+    for lo in range(0, total, rows):
+        combo = np.arange(lo, min(lo + rows, total))[:, None] // place % m  # [profile, type]
+        masks = (combo[:, None, live_ix] == sig[:, None]) @ bits  # [profile, signal]
+        # The distinct masks, as np.unique finds them, for less per-call overhead.
+        flat = masks.ravel()
+        order = flat.argsort(kind="stable")
+        ordered = flat[order]
+        new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+        keys, first, inv = ordered[new], order[new], np.empty_like(order)
+        inv[order] = new.cumsum() - 1
+        p, k = np.divmod(first[keys != 0], m)  # where each sender set first occurs
+        weights = (combo[p] == k[:, None]) * prior
+        probs = np.concatenate((off_probs, weights / left_sum(weights.T)[:, None]))
+        # Table rows: the off-path beliefs by signal, then the block's sender sets.
+        row = np.where(masks != 0, inv.reshape(masks.shape) + len(off) - int(keys[0] == 0), sig)
+        values = left_sum((probs[:, :, None] * receiver).swapaxes(0, 1))  # [row, action]
+        pick = (values >= values.max(1, keepdims=True) - EQ_TOL).argmax(1)
+        ok = values >= values[np.arange(len(values)), pick, None] - EQ_TOL
+        reply, tied = pick[row], (ok.sum(1) > 1)[row].any(1)
+        gain = sender[j[:, None], sig, reply[:, None]]  # [profile, live type, signal]
+        current = gain[np.arange(len(combo))[:, None], j, combo[:, live_ix], None]
+        for i in (tied | ~(gain > current + EQ_TOL).any((1, 2))).nonzero()[0]:
+            c, here = combo[i].tolist(), row[i].tolist()
+            replies = [reply[i].tolist()]
+            if tied[i]:
+                options = (ok[x].nonzero()[0].tolist() for x in here)
+                replies = [r for r in itertools.product(*options) if not _deviation_exists(nested, live, c, r)]
+                if not replies:
+                    continue
+            sender_map = {t: signals[x] for t, x in zip(types, c)}
+            sender_strategy = tuple(sender_map.items())
+            beliefs = BeliefSystem(
+                tuple(
+                    (s, off[x] if x < len(off) else Belief(tuple(probs[x].tolist()), on_path=True))
+                    for s, x in zip(signals, here)
                 )
             )
+            classification = _classify(spec, sender_map)
+            for r in replies:
+                results.append(
+                    PBEResult(
+                        sender_strategy=sender_strategy,
+                        receiver_strategy=tuple((s, actions[a]) for s, a in zip(signals, r)),
+                        beliefs=beliefs,
+                        classification=classification,
+                    )
+                )
     return results
 
 
-def _sender_map(spec, combo):
-    """The sender strategy type -> signal for signal indices `combo`."""
-    return {t: spec.signals[k] for t, k in zip(spec.types, combo)}
-
-
-def _belief_and_responses(spec, sender_map, signal, off_path_rule):
-    """The belief at `signal` and the indices of every receiver action within
-    EQ_TOL of the best response to it."""
-    belief = signal_posterior(spec, sender_map, signal, off_path_rule)
-    _, best_val, _ = receiver_best_response(spec, belief)
-    ok = tuple(
-        i
-        for i, a in enumerate(spec.receiver_actions)
-        if sum(p * spec.receiver_utility[(a, t)] for p, t in zip(belief.probs, spec.types))
-        >= best_val - EQ_TOL
-    )
-    return belief, ok
-
-
 def _sender_tables(spec):
-    """Sender utilities indexed [type][signal][action], and the indices of the
-    positive-prior types, the only ones whose deviations count."""
-    utility = [
-        [[spec.sender_utility[(t, s, a)] for a in spec.receiver_actions] for s in spec.signals]
-        for t in spec.types
-    ]
-    return utility, [i for i, t in enumerate(spec.types) if spec.prior[t] > 0]
+    """Sender utilities as an array [type, signal, action], and the indices of
+    the positive-prior types, the only ones whose deviations count."""
+    types, signals, actions = spec.types, spec.signals, spec.receiver_actions
+    utility = np.array([spec.sender_utility[(t, s, a)] for t in types for s in signals for a in actions])
+    shape = (len(types), len(signals), len(actions))
+    return utility.reshape(shape), [i for i, t in enumerate(types) if spec.prior[t] > 0]
 
 
 def _deviation_exists(utility, live, combo, reply):
@@ -304,7 +314,7 @@ def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="unifor
         if any(abs(a - b) > 1e-9 for a, b in zip(expected.probs, got.probs)):
             return False
         _, best_val, _ = receiver_best_response(spec, expected)
-        val = sum(
+        val = left_sum(
             p * spec.receiver_utility[(receiver_map[s], t)]
             for p, t in zip(expected.probs, spec.types)
         )
@@ -313,4 +323,4 @@ def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="unifor
     utility, live = _sender_tables(spec)
     combo = [signal_index[sender_map[t]] for t in spec.types]
     reply = [action_index[receiver_map[s]] for s in spec.signals]
-    return not _deviation_exists(utility, live, combo, reply)
+    return not _deviation_exists(utility.tolist(), live, combo, reply)

@@ -117,7 +117,7 @@ class Scenario:
             if e.profile not in self.profiles:
                 raise ValidationError(f"unknown profile {e.profile!r}", f"entities[{i}].profile")
             try:  # the prior score must be expressible over this type space
-                trust.state_from_score(trust.compose_prior(e.prior_sources), self.space)
+                trust.check_score(trust.compose_prior(e.prior_sources), self.space)
             except ValidationError as exc:
                 raise ValidationError(exc.reason, f"entities[{i}].prior") from exc
         types = self.space.types

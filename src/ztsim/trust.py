@@ -267,15 +267,21 @@ def uniform_state(space: TypeSpace, timestamp: int = 0) -> TrustState:
     return TrustState(mass={t: 1.0 / n for t in space.types}, timestamp=timestamp)
 
 
+def check_score(score, space: TypeSpace):
+    """Reject a score in [0, 1] that `space` cannot spread: a positive one
+    with no trusted type, or one below 1 with no untrusted type."""
+    if not space.trusted and score > PROB_TOL:
+        raise ValidationError("positive trust score but no trusted types")
+    if len(space.trusted) == len(space.types) and score < 1 - PROB_TOL:
+        raise ValidationError("trust score below 1 but no untrusted types")
+
+
 def state_from_score(score, space: TypeSpace, timestamp: int = 0) -> TrustState:
     """Spread a scalar trust score uniformly over the trusted types and the
     remainder over the untrusted ones."""
     score = _prob(score, "trust score")
+    check_score(score, space)
     untrusted = [t for t in space.types if t not in space.trusted]
-    if not space.trusted and score > PROB_TOL:
-        raise ValidationError("positive trust score but no trusted types")
-    if not untrusted and score < 1 - PROB_TOL:
-        raise ValidationError("trust score below 1 but no untrusted types")
     mass = {}
     for t in space.trusted:
         mass[t] = score / len(space.trusted)

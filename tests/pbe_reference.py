@@ -1,12 +1,14 @@
 """`find_pbe` as it stood before beliefs were cached, kept as a test oracle:
 for every sender profile it recomputes each signal's posterior with
 `signal_posterior`, the receiver's tied best responses, and the sender
-deviation check on per-profile dicts."""
+deviation check on per-profile dicts. Action values are folded with
+`left_sum`, as the solver folds them. Also the sender's best signal against
+a fixed receiver strategy, which no solver needs."""
 import itertools
 
 from ztsim.errors import EnumerationBudgetExceeded, ValidationError
 from ztsim.games import BeliefSystem, PBEResult, receiver_best_response, signal_posterior
-from ztsim.games.signaling import DEFAULT_BUDGET, EQ_TOL, OFF_PATH_RULES, _classify
+from ztsim.games.signaling import DEFAULT_BUDGET, EQ_TOL, OFF_PATH_RULES, _classify, left_sum
 
 
 def find_pbe(spec, off_path_rule="uniform", budget=DEFAULT_BUDGET):
@@ -33,7 +35,7 @@ def find_pbe(spec, off_path_rule="uniform", budget=DEFAULT_BUDGET):
             _, best_val, _ = receiver_best_response(spec, beliefs.belief(s))
             ok = []
             for a in spec.receiver_actions:
-                val = sum(
+                val = left_sum(
                     p * spec.receiver_utility[(a, t)]
                     for p, t in zip(beliefs.belief(s).probs, spec.types)
                 )
@@ -66,3 +68,17 @@ def _sender_deviation_exists(spec, sender_map, receiver_map):
             if spec.sender_utility[(t, s, receiver_map[s])] > current + EQ_TOL:
                 return True
     return False
+
+
+def sender_optimal_signal(spec, ptype, receiver_strategy):
+    """(signal, value, tie flag) maximizing the sender's utility given the
+    receiver's signal-contingent actions; first signal wins ties."""
+    for s in spec.signals:
+        if s not in receiver_strategy:
+            raise ValidationError(f"receiver strategy missing signal {s!r}")
+    values = [
+        spec.sender_utility[(ptype, s, receiver_strategy[s])] for s in spec.signals
+    ]
+    best = max(values)
+    winners = [i for i, v in enumerate(values) if v >= best - EQ_TOL]
+    return spec.signals[winners[0]], values[winners[0]], len(winners) > 1

@@ -1,9 +1,10 @@
-"""`find_pbe` computes each signal's belief and receiver best responses once
-per key; it must return exactly the list the per-profile loop in
+"""`find_pbe` computes each block of sender profiles in one array pass; it
+must return exactly the list the per-profile loop in
 `tests/pbe_reference.py` returns: same order, strategies, classification,
 `on_path` flags and belief probabilities to the bit. `verify_pbe` must agree
 with that loop's sender deviation check."""
 import itertools
+import random
 
 import pytest
 from hypothesis import event, given, settings
@@ -99,20 +100,132 @@ def test_honeypot_game_matches_reference(honeypot_spec):
         _assert_same_results(find_pbe(honeypot_spec, rule), pbe_reference.find_pbe(honeypot_spec, rule))
 
 
-def test_each_belief_is_computed_once_per_key(monkeypatch, honeypot_spec):
+def _every_profile_game(prior):
+    """One receiver action and a constant sender utility: every sender
+    profile is an equilibrium, so the results show every profile's beliefs."""
+    types, signals = tuple(prior), ("s0", "s1", "s2")
+    return SignalingGameSpec(
+        types=types,
+        prior=prior,
+        signals=signals,
+        receiver_actions=("a",),
+        sender_utility={(t, s, "a"): 1.0 for t in types for s in signals},
+        receiver_utility={("a", t): float(i) for i, t in enumerate(types)},
+    )
+
+
+@pytest.mark.parametrize("rule", OFF_PATH_RULES)
+def test_beliefs_off_path_once_per_signal_and_on_path_as_signal_posterior(monkeypatch, rule):
+    spec = _every_profile_game({"t0": 0.5, "t1": 0.0, "t2": 0.2, "t3": -0.0, "t4": 0.3})
     calls = []
-    posterior = signaling.signal_posterior
+    off_path_belief = signaling.off_path_belief
 
-    def counting(spec, sender_map, signal, rule):
+    def counting(spec, signal, rule):
         calls.append(signal)
-        return posterior(spec, sender_map, signal, rule)
+        return off_path_belief(spec, signal, rule)
 
-    monkeypatch.setattr(signaling, "signal_posterior", counting)
-    find_pbe(honeypot_spec, "pessimistic")
-    # Keys in visiting order: {real, honeypot} at weak, off path at hardened,
-    # {real} at weak, {honeypot} at hardened, then off path at weak. The
-    # per-profile loop calls it for 4 sender profiles x 2 signals.
-    assert calls == ["weak", "hardened", "weak", "hardened", "weak"]
+    monkeypatch.setattr(signaling, "off_path_belief", counting)
+    results = find_pbe(spec, rule)
+    assert sorted(calls) == list(spec.signals)
+    monkeypatch.undo()
+    assert len(results) == 3**5
+    on_path = set()
+    for r in results:
+        sender_map = dict(r.sender_strategy)
+        for s, belief in r.beliefs.by_signal:
+            expected = signal_posterior(spec, sender_map, s, rule)
+            assert belief.on_path == expected.on_path
+            assert _bits(belief.probs) == _bits(expected.probs)
+            if belief.on_path:
+                on_path.add(frozenset(t for t in ("t0", "t2", "t4") if sender_map[t] == s))
+    # Every non-empty set of the three positive-prior types was on path.
+    assert len(on_path) == 7
+
+
+def _tie_game(rng, n_types, n_signals, n_actions):
+    """Small-integer, signed-zero and EQ_TOL-apart payoffs, so replies and
+    deviations tie; one type has prior 0.0 and one -0.0."""
+    types = [f"t{i}" for i in range(n_types)]
+    signals = [f"s{i}" for i in range(n_signals)]
+    actions = [f"a{i}" for i in range(n_actions)]
+    weights = [rng.choice([1, 2, 3]) for _ in types]
+    prior = {t: w / sum(weights[2:]) for t, w in zip(types[2:], weights[2:])}
+    prior |= {types[0]: -0.0, types[1]: 0.0}
+    tol = signaling.EQ_TOL
+    sender = [-0.0, 0.0, tol, 1.0, 1.0 + tol, 2.0]
+    receiver = [-0.0, 0.0, -1.0, 1.0, 2.0]
+    return SignalingGameSpec(
+        types=types,
+        prior=prior,
+        signals=signals,
+        receiver_actions=actions,
+        sender_utility={(t, s, a): rng.choice(sender) for t in types for s in signals for a in actions},
+        receiver_utility={(a, t): rng.choice(receiver) for a in actions for t in types},
+    )
+
+
+@pytest.mark.parametrize("rule", OFF_PATH_RULES)
+def test_blocks_of_seven_pairs_match_reference(monkeypatch, rule):
+    monkeypatch.setattr(signaling, "_BLOCK", 7)  # 2 profiles per block at 3 signals
+    rng = random.Random(24)
+    found = 0
+    for shape in [(4, 3, 2)] * 12 + [(4, 3, 3)] * 6 + [(5, 3, 2)] * 2:
+        spec = _tie_game(rng, *shape)
+        expected = pbe_reference.find_pbe(spec, rule)
+        _assert_same_results(find_pbe(spec, rule), expected)
+        found += len(expected)
+    assert found
+
+
+def test_blocks_of_seven_pairs_keep_signed_zeros_and_boundary_gains(monkeypatch):
+    """Two cases pinned by hand: an on-path belief keeps -0.0 at a type with
+    prior -0.0 that does not send the signal, and a sender deviation that
+    gains exactly EQ_TOL is no gain."""
+    monkeypatch.setattr(signaling, "_BLOCK", 7)
+    tol = signaling.EQ_TOL
+    types, signals, actions = ("ghost", "real", "bot"), ("s0", "s1", "s2"), ("a0", "a1")
+    sender = {(t, s, a): 0.0 for t in types for s in signals for a in actions}
+    sender[("real", "s2", "a0")] = tol
+    spec = SignalingGameSpec(
+        types=types,
+        prior={"ghost": -0.0, "real": 0.5, "bot": 0.5},
+        signals=signals,
+        receiver_actions=actions,
+        sender_utility=sender,
+        receiver_utility={(a, t): float(a == "a0" and t != "ghost") for a in actions for t in types},
+    )
+    results = find_pbe(spec, "prior")
+    _assert_same_results(results, pbe_reference.find_pbe(spec, "prior"))
+    pooled = [r for r in results if dict(r.sender_strategy) == {"ghost": "s1", "real": "s0", "bot": "s0"}]
+    assert len(pooled) == 1
+    assert _bits(pooled[0].beliefs.belief("s0").probs) == _bits((-0.0, 0.5, 0.5))
+
+
+def test_one_block_and_many_blocks_agree(monkeypatch):
+    rng = random.Random(4096)
+    spec = _tie_game(rng, 6, 4, 4)  # 4096 sender profiles: one block of 16384 pairs
+    assert len(spec.signals) ** len(spec.types) * len(spec.signals) <= signaling._BLOCK
+    one = find_pbe(spec, "pessimistic", budget=10**7)
+    monkeypatch.setattr(signaling, "_BLOCK", 100)
+    many = find_pbe(spec, "pessimistic", budget=10**7)
+    assert one
+    assert repr(many) == repr(one)
+
+
+def test_more_live_types_than_mask_bits_in_an_int64():
+    types = [f"t{i}" for i in range(70)]
+    spec = SignalingGameSpec(
+        types=types,
+        prior={t: 1 / 70 for t in types},
+        signals=("only",),
+        receiver_actions=("a", "b"),
+        sender_utility={(t, "only", a): 0.0 for t in types for a in "ab"},
+        receiver_utility={(a, t): float(i % 3) if a == "a" else 1.0 for i, t in enumerate(types) for a in "ab"},
+    )
+    for rule in OFF_PATH_RULES:
+        got = find_pbe(spec, rule)
+        _assert_same_results(got, pbe_reference.find_pbe(spec, rule))
+        assert [r.receiver_action("only") for r in got] == ["b"]
 
 
 @pytest.mark.parametrize("rule", OFF_PATH_RULES)

@@ -92,6 +92,20 @@ def test_unknown_entity_type_named():
     assert "ugly" in str(info.value)
 
 
+@pytest.mark.parametrize("trusted, reason", [
+    ("[]", "positive trust score but no trusted types"),
+    ("[good, bad]", "trust score below 1 but no untrusted types"),
+])
+def test_prior_the_type_space_cannot_spread_is_rejected(trusted, reason):
+    text = MINIMAL.replace("trusted: [good]", f"trusted: {trusted}")
+    with pytest.raises(ScenarioFormatError) as info:
+        parse_scenario(text)
+    assert str(info.value) == f"[scenario] entities[0].prior: {reason}"
+    # The same scores at the edge PROB_TOL allows are accepted.
+    score = "0.000000001" if trusted == "[]" else "0.999999999"
+    parse_scenario(text.replace("profile: default", f"profile: default\n    prior: [{{score: {score}}}]"))
+
+
 def test_threshold_order_enforced():
     text = MINIMAL.replace("grant_threshold: 0.8", "grant_threshold: 0.1")
     with pytest.raises(ScenarioFormatError) as info:

@@ -2,13 +2,13 @@ import dataclasses
 
 import pytest
 
+from pbe_reference import sender_optimal_signal
 from ztsim.errors import EnumerationBudgetExceeded, ValidationError
 from ztsim.games import (
     SignalingGameSpec,
     find_pbe,
     off_path_belief,
     receiver_best_response,
-    sender_optimal_signal,
     signal_posterior,
     verify_pbe,
 )
