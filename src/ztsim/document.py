@@ -1,12 +1,11 @@
 """Reading scenario and game-spec documents: the bytes, the YAML, the schema
 version, and one rule for every mapping whose keys are fixed names. Both
-document kinds read through this module; it knows no model.
+document kinds read through this module; it knows no model. PyYAML is
+imported only for a document outside the plain subset that `_plain` reads.
 """
 import json
 import re
 from contextlib import contextmanager
-
-import yaml
 
 from .errors import ScenarioFormatError, ValidationError
 
@@ -76,8 +75,6 @@ def _section(section):
 
 
 _OTHER = object()  # not a document `_plain` reads
-_STARTS = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
-_ENDS = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
 
 
 def _check_depth(get):
@@ -85,6 +82,10 @@ def _check_depth(get):
     yaml.load composes them, so that it never sees a document nested deeper than
     MAX_DEPTH. Reading stops where its composer fails first, at an undefined
     alias or a repeated anchor, and at the end of the first document."""
+    import yaml
+
+    starts = (yaml.MappingStartEvent, yaml.SequenceStartEvent)
+    ends = (yaml.MappingEndEvent, yaml.SequenceEndEvent)
     depth, anchors = 0, set()
     while True:
         event = get()
@@ -95,7 +96,7 @@ def _check_depth(get):
             if (anchor in anchors) != (cls is yaml.AliasEvent):
                 return
             anchors.add(anchor)
-        depth += (cls in _STARTS) - (cls in _ENDS)
+        depth += (cls in starts) - (cls in ends)
         if depth > MAX_DEPTH:
             raise yaml.YAMLError(f"nesting deeper than {MAX_DEPTH} levels")
 
@@ -203,6 +204,8 @@ def _parse_yaml(text):
     doc = _plain(text)
     if doc is not _OTHER:
         return doc
+    import yaml
+
     base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     loader = base(text)
     try:
@@ -212,11 +215,18 @@ def _parse_yaml(text):
     return yaml.load(text, Loader=base)
 
 
+def _yaml_errors():
+    """What `_parse_yaml` raises on text that is not valid YAML. PyYAML's
+    constructors raise the others on a tag they cannot read: `!!float abc`."""
+    import yaml
+
+    return yaml.YAMLError, ValueError, LookupError, AttributeError
+
+
 def _load_yaml(text, what):
     try:
         doc = _parse_yaml(text)
-    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
-        # PyYAML's constructors raise the others on a tag they cannot read: `!!float abc`.
+    except _yaml_errors() as exc:  # evaluated only once something raised
         raise ScenarioFormatError(what, "-", f"not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioFormatError(what, "-", "top level must be a mapping")

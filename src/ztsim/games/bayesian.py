@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError
 from ..errors import labels, real, table
+from .signaling import left_sum
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -63,7 +64,7 @@ class BayesianGameSpec:
 
     def marginal(self, player, ptype):
         i = self.players.index(player)
-        return sum(v for k, v in self.prior.items() if k[i] == ptype)
+        return left_sum(v for k, v in self.prior.items() if k[i] == ptype)
 
     def conditional(self, player, ptype):
         """Belief over the other players' type profiles given own type."""

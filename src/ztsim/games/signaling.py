@@ -23,8 +23,8 @@ def left_sum(values):
     """`sum` as Python 3.10 and 3.11 compute it: from int 0, adding left to
     right. From 3.12 on `sum` compensates float rounding, so the posterior,
     the receiver's action values, `find_pbe`'s array pass (which folds numpy
-    columns with it) and the test oracle all use this, and give the same bits
-    on every supported Python."""
+    columns with it), the Bayesian type marginals and the test oracles all
+    use this, and give the same bits on every supported Python."""
     return functools.reduce(operator.add, values, 0)
 
 
@@ -59,6 +59,15 @@ class SignalingGameSpec:
         for t, p in self.prior.items():
             if p < 0:
                 raise ValidationError("must be non-negative", f"prior.{t}")
+
+    @functools.cached_property
+    def _point_replies(self):
+        """(point belief, receiver best response) for each type in order. The
+        pessimistic off-path rule compares them at every signal, and they do
+        not depend on the signal, so a spec computes them once."""
+        n = len(self.types)
+        points = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
+        return [(point, receiver_best_response(self, point)[0]) for point in points]
 
 
 @dataclass(frozen=True)
@@ -113,9 +122,7 @@ def off_path_belief(spec: SignalingGameSpec, signal, rule) -> tuple:
         return tuple(spec.prior[t] for t in spec.types)
     if rule == "pessimistic":
         best = None
-        for i, t in enumerate(spec.types):
-            point = tuple(1.0 if j == i else 0.0 for j in range(n))
-            action, _, _ = receiver_best_response(spec, point)
+        for point, action in spec._point_replies:
             worst_gain = max(
                 spec.sender_utility[(th, signal, action)] for th in spec.types
             )

@@ -6,8 +6,6 @@ from __future__ import annotations
 
 from functools import partial
 
-import yaml
-
 from .document import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _section
 from .errors import ScenarioFormatError, ValidationError, labels, real, table
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
@@ -170,6 +168,8 @@ def serialize_game(game) -> str:
         doc = {"schema_version": SCHEMA_VERSION, "signaling_game": body}
     else:
         raise ScenarioFormatError("game", "-", f"unsupported game object {type(game).__name__}")
+    import yaml
+
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -8,8 +8,6 @@ checks only its structure; the constructors make every value check.
 """
 from __future__ import annotations
 
-import yaml
-
 from .document import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _section
 from .errors import ScenarioFormatError
 from .sim import EntitySpec, PolicyConfig, Profile, Scenario
@@ -120,6 +118,8 @@ def serialize_scenario(scenario: Scenario) -> str:
                 "prior": [{"score": s, "weight": w} for s, w in e.prior_sources],
             }
         )
+    import yaml
+
     return yaml.safe_dump(doc, sort_keys=False)
 
 

@@ -4,6 +4,8 @@ are recomputed from the raw tables with plain loops."""
 
 import itertools
 
+from ztsim.games.signaling import left_sum
+
 
 def _interim_utility(spec, player_idx, own_type, own_action, strategy_maps):
     players = spec.players
@@ -34,7 +36,7 @@ def reference_pure_bne(spec):
         )
     marginals = {
         pl: {
-            t: sum(p for prof, p in spec.prior.items() if prof[i] == t)
+            t: left_sum(p for prof, p in spec.prior.items() if prof[i] == t)
             for t in spec.types[pl]
         }
         for i, pl in enumerate(players)

@@ -142,6 +142,43 @@ def test_beliefs_off_path_once_per_signal_and_on_path_as_signal_posterior(monkey
     assert len(on_path) == 7
 
 
+def _pessimistic_per_signal(spec, signal):
+    """The pessimistic off-path belief with every point belief's best
+    response recomputed at `signal`."""
+    n, best = len(spec.types), None
+    for i in range(n):
+        point = tuple(1.0 if j == i else 0.0 for j in range(n))
+        action = receiver_best_response(spec, point)[0]
+        worst_gain = max(spec.sender_utility[(t, signal, action)] for t in spec.types)
+        if best is None or worst_gain < best[0] - signaling.EQ_TOL:
+            best = (worst_gain, point)
+    return best[1]
+
+
+def test_pessimistic_rule_computes_point_replies_once_per_spec(monkeypatch):
+    rng = random.Random(11)
+    specs = [_tie_game(rng, rng.randint(3, 4), rng.randint(2, 3), rng.randint(2, 3)) for _ in range(30)]
+    expected = [[_pessimistic_per_signal(spec, s) for s in spec.signals] for spec in specs]
+    calls = []
+    best_response = signaling.receiver_best_response
+
+    def counting(spec, belief):
+        calls.append(belief)
+        return best_response(spec, belief)
+
+    monkeypatch.setattr(signaling, "receiver_best_response", counting)
+    for spec, beliefs in zip(specs, expected):
+        del calls[:]
+        results = find_pbe(spec, "pessimistic")
+        assert len(calls) == len(spec.types)
+        assert [signaling.off_path_belief(spec, s, "pessimistic") for s in spec.signals] == beliefs
+        assert len(calls) == len(spec.types)
+        for r in results:
+            for s, belief in r.beliefs.by_signal:
+                if not belief.on_path:
+                    assert belief.probs == beliefs[spec.signals.index(s)]
+
+
 def _tie_game(rng, n_types, n_signals, n_actions):
     """Small-integer, signed-zero and EQ_TOL-apart payoffs, so replies and
     deviations tie; one type has prior 0.0 and one -0.0."""
