@@ -4,12 +4,13 @@ The on-disk format is YAML with an explicit schema version. Probability tables
 are written as labeled rows keyed by type/action/evidence identifiers, never
 positional arrays, so every validation failure can name the section and key
 that caused it. The parser maps the document onto the model constructors and
-checks only its structure; the constructors make every value check.
+checks only its structure; the constructors make every value check, the
+non-empty entity list included. The document states every field the model
+holds, so parse(serialize(s)) == s for every valid scenario.
 """
 from __future__ import annotations
 
 from .document import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _section
-from .errors import ScenarioFormatError
 from .sim import EntitySpec, PolicyConfig, Profile, Scenario
 from .trust import BehaviorModel, EvidenceModel, TypeSpace
 
@@ -42,8 +43,6 @@ def parse_scenario(text) -> Scenario:
             values = values or dict.fromkeys(e for *_, e in likelihood)
             profiles[name] = Profile(behavior, EvidenceModel(tuple(values), likelihood))
 
-    if not top["entities"]:  # a run needs someone to observe; the API allows none
-        raise ScenarioFormatError("scenario", "entities", "must be non-empty")
     entities = []
     for i, edoc in enumerate(top["entities"]):
         section = f"entities[{i}]"
@@ -76,7 +75,7 @@ def parse_scenario(text) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical YAML rendering; parse(serialize(s)) == s for valid scenarios."""
+    """Canonical YAML rendering, writing every field of the model."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "type_space": {

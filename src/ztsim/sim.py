@@ -1,11 +1,11 @@
 """Discrete-time zero-trust simulation loop.
 
-Each tick, every entity's trust is first attenuated, the policy engine decides
-grant/challenge/deny from the current score, non-denied entities act according
-to their hidden true type and emit side evidence, and the defender's belief is
-updated by Bayes' rule. All randomness flows from the scenario seed through
-per-entity PCG64 streams, so runs are bit-reproducible and entity order cannot
-perturb draws.
+Each tick, every entity's trust is first attenuated toward the uniform belief,
+the policy engine decides grant/challenge/deny from the current score,
+non-denied entities act according to their hidden true type and emit side
+evidence, and the defender's belief is updated by Bayes' rule. All randomness
+flows from the scenario seed through per-entity PCG64 streams, so runs are
+bit-reproducible and entity order cannot perturb draws.
 
 `run` and `run_seeds` execute a Scenario compiled once into dense arrays,
 every (seed, entity) lane advancing together one numpy operation per step.
@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -50,7 +50,6 @@ class PolicyConfig:
     grant_threshold: float
     deny_threshold: float
     decay_rate: float = 0.0
-    baseline: TrustState = None  # None means uniform over the type space
     observe_while_denied: bool = False
 
     def __post_init__(self):
@@ -80,12 +79,13 @@ class EntitySpec:
     true_type: object
     profile: str
     prior_sources: tuple  # ((score, weight), ...)
+    prior: float = field(init=False, repr=False, compare=False)  # the composed score
 
     def __post_init__(self):
         if isinstance(self.id, bool) or not isinstance(self.id, (str, int, float)):
             raise ValidationError(f"must be a string or a number, got {self.id!r}", "id")
         object.__setattr__(self, "id", str(self.id))
-        trust.compose_prior(self.prior_sources)
+        object.__setattr__(self, "prior", trust.compose_prior(self.prior_sources))
         object.__setattr__(
             self, "prior_sources", tuple((float(s), float(w)) for s, w in self.prior_sources)
         )
@@ -101,9 +101,12 @@ class Scenario:
     seed: int
 
     def __post_init__(self):
-        """Error keys are document paths, e.g. `run.horizon`, `entities[0].profile`."""
+        """Error keys are document paths, e.g. `run.horizon`, `entities[0].profile`.
+        The model holds what a scenario document can state, and no more."""
         object.__setattr__(self, "profiles", dict(self.profiles))
         object.__setattr__(self, "entities", tuple(self.entities))
+        if not self.entities:  # a run needs someone to observe
+            raise ValidationError("must be non-empty", "entities")
         for key, value, low in (("run.horizon", self.horizon, 1), ("run.seed", self.seed, 0)):
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
                 raise ValidationError(f"must be an integer >= {low}, got {value!r}", key)
@@ -117,7 +120,7 @@ class Scenario:
             if e.profile not in self.profiles:
                 raise ValidationError(f"unknown profile {e.profile!r}", f"entities[{i}].profile")
             try:  # the prior score must be expressible over this type space
-                trust.check_score(trust.compose_prior(e.prior_sources), self.space)
+                trust.check_score(e.prior, self.space)
             except ValidationError as exc:
                 raise ValidationError(exc.reason, f"entities[{i}].prior") from exc
         types = self.space.types
@@ -129,9 +132,6 @@ class Scenario:
                 (actions, types, profile.evidence.evidence_values),
                 f"profiles.{name}.evidence",
             )
-        baseline = self.policy.baseline
-        if baseline is not None and set(baseline.mass) != set(self.space.types):
-            raise ValidationError("must cover exactly the space's types", "policy.baseline")
 
 
 @dataclass(frozen=True)
@@ -258,18 +258,12 @@ def generate_evidence(rng, evidence: EvidenceModel, action, etype):
     return _draw(rng, evidence.evidence_values, probs)
 
 
-def _baseline(scenario):
-    if scenario.policy.baseline is not None:
-        return scenario.policy.baseline
-    return trust.uniform_state(scenario.space)
-
-
 def step(scenario: Scenario, state: SimState, rngs) -> tuple:
     """Advance one tick; returns (new state, records for this tick)."""
     if state.tick >= scenario.horizon:
         raise ValidationError(f"tick {state.tick} is already at the horizon")
     tick = state.tick + 1
-    baseline = _baseline(scenario)
+    baseline = trust.uniform_state(scenario.space)
     new_trust = {}
     records = []
     for entity in scenario.entities:
@@ -336,10 +330,7 @@ def _score_text(scores):
 
 
 def initial_state(scenario: Scenario) -> SimState:
-    states = {}
-    for e in scenario.entities:
-        score = trust.compose_prior(e.prior_sources)
-        states[e.id] = trust.state_from_score(score, scenario.space, timestamp=0)
+    states = {e.id: trust.state_from_score(e.prior, scenario.space) for e in scenario.entities}
     return SimState(tick=0, trust=states)
 
 
@@ -364,8 +355,7 @@ class CompiledScenario:
         self.scenario = scenario
         self.types = space.trusted + tuple(t for t in space.types if t not in space.trusted)
         self.n_trusted = len(space.trusted)
-        base = _baseline(scenario)
-        self.baseline = np.array([base.mass[t] for t in self.types])
+        self.baseline = np.full(len(self.types), 1.0 / len(self.types))  # uniform_state's mass
         # Every state is stamped with the tick it was last touched, so a tick
         # always attenuates by exactly one elapsed step.
         self.k = math.exp(-policy.decay_rate * 1)
@@ -379,8 +369,8 @@ class CompiledScenario:
         profiles = [scenario.profiles[name] for name, _ in classes]
         self.actions = tuple(p.behavior.actions for p in profiles)
         self.evidence_values = tuple(p.evidence.evidence_values for p in profiles)
-        n_a = max(map(len, self.actions), default=1)
-        n_e = max(map(len, self.evidence_values), default=1)
+        n_a = max(map(len, self.actions))
+        n_e = max(map(len, self.evidence_values))
         self.cum_action = np.full((len(classes), n_a), np.inf)
         self.cum_evidence = np.full((len(classes), n_a, n_e), np.inf)
         self.lh = np.zeros((len(classes), n_a, n_e, len(self.types)))
@@ -397,7 +387,7 @@ class CompiledScenario:
                     self.lh[c, j, m] = [
                         p.evidence.prob(v, a, t) * p.behavior.prob(a, t) for t in self.types
                     ]
-        score = np.array([trust.compose_prior(e.prior_sources) for e in entities]).reshape(-1, 1)
+        score = np.array([e.prior for e in entities]).reshape(-1, 1)
         trusted = np.arange(len(self.types)) < self.n_trusted
         count = np.where(trusted, self.n_trusted, len(self.types) - self.n_trusted)
         self.prior = np.where(trusted, score, 1.0 - score) / count
@@ -474,8 +464,7 @@ def run_seeds(scenario: Scenario, seeds):
     have been yielded first, as running the seeds one by one would."""
     compiled = CompiledScenario(scenario)
     seeds = list(seeds)
-    per_lane = 2 * scenario.horizon * len(scenario.entities)
-    chunk = max(1, _CHUNK_DRAWS // per_lane) if per_lane else max(1, len(seeds))
+    chunk = max(1, _CHUNK_DRAWS // (2 * scenario.horizon * len(scenario.entities)))
     for lo in range(0, len(seeds), chunk):
         yield from compiled.run(seeds[lo : lo + chunk])
 
@@ -490,8 +479,6 @@ def compute_metrics(trace: SimTrace) -> Metrics:
     """Per-entity detection time, false-lockout flag, final score, and the
     full after-score trajectory, read from the trace's after-scores and the
     detection and denial its batch reduced once for every seed."""
-    if not trace.scenario.entities:
-        raise ValidationError("trace is empty")
     trusted = trace.scenario.space.trusted
     rows = zip(trace.scenario.entities, trace.after.T.tolist(), trace.detection, trace.denied)
     out = {}

@@ -60,10 +60,7 @@ class TrustState:
             raise ValidationError("timestamp must be non-negative")
         mass, total = {}, 0.0
         for t, p in dict(self.mass).items():
-            # The passing case of _prob for a float, tested without building the key.
-            if type(p) is not float or not -PROB_TOL <= p <= 1 + PROB_TOL:
-                p = _prob(p, f"mass[{t!r}]")
-            mass[t] = min(1.0, max(0.0, p))
+            mass[t] = _prob(p, f"mass[{t!r}]")
             total += mass[t]
         object.__setattr__(self, "mass", mass)
         if abs(total - 1.0) > PROB_TOL:

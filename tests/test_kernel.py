@@ -40,7 +40,6 @@ from ztsim.trace import emit_trace, metrics_to_dict, step_record_to_dict
 from ztsim.trust import (
     BehaviorModel,
     EvidenceModel,
-    TrustState,
     TypeSpace,
     compose_prior,
     state_from_score,
@@ -205,16 +204,10 @@ def scenarios(draw):
         for i in range(draw(st.integers(1, 3)))
     ]
     thresholds = sorted(draw(st.lists(st.sampled_from((0.0, 0.2, 0.5, 0.8, 1.0)), min_size=2, max_size=2)))
-    baseline = None
-    if draw(st.booleans()):
-        weights = [draw(st.sampled_from((0, 1, 3))) for _ in types]
-        weights[0] += 1
-        baseline = TrustState({t: w / sum(weights) for t, w in zip(types, weights)})
     policy = PolicyConfig(
         grant_threshold=thresholds[1],
         deny_threshold=thresholds[0],
         decay_rate=draw(st.sampled_from((0.0, 1e-17, 0.01, 0.3))),
-        baseline=baseline,
         observe_while_denied=draw(st.booleans()),
     )
     return Scenario(
@@ -369,29 +362,6 @@ def test_in_tolerance_likelihood_is_clamped_before_the_posterior():
     assert outcome == reference_outcome(scenario, 0)
 
 
-def test_in_tolerance_baseline_is_clamped_before_attenuation():
-    # A baseline of 1 + 1e-9 on A and -1e-9 on B and C is a valid TrustState
-    # (its sum is off 1 by 1e-9), stored as {A: 1, B: 0, C: 0}. Taken as
-    # given, decaying almost fully onto it and renormalizing would put about
-    # -1.000000001e-9 on B.
-    types = ("A", "B", "C")
-    behavior = BehaviorModel(("a",), {(t, "a"): 1.0 for t in types})
-    evidence = EvidenceModel(("e",), {("a", t, "e"): 1.0 for t in types})
-    baseline = TrustState({"A": 1 + 1e-9, "B": -1e-9, "C": -1e-9})
-    scenario = Scenario(
-        space=TypeSpace(types, {"B", "C"}),
-        profiles={"p": Profile(behavior, evidence)},
-        entities=(EntitySpec("x", "A", "p", ((0.0, 1.0),)),),
-        policy=PolicyConfig(0.5, 0.0, decay_rate=50.0, baseline=baseline),
-        horizon=2,
-        seed=0,
-    )
-    assert baseline.mass == {"A": 1.0, "B": 0.0, "C": 0.0}
-    outcome = kernel_outcome(scenario, 0)
-    assert outcome[0] == "ok"
-    assert outcome == reference_outcome(scenario, 0)
-
-
 def test_first_failing_entity_of_a_tick_raises():
     # Both entities draw "b" at tick 1, which their prior says is impossible;
     # the run raises for the one listed first, whatever the listing order.
@@ -493,13 +463,3 @@ def test_scenario_rejects_profile_missing_a_type():
     with pytest.raises(ValidationError) as info:
         _two_type_scenario(behavior, evidence, 0.5)
     assert info.value.key == "profiles.p.evidence.a.B"
-
-
-def test_scenario_rejects_baseline_over_other_types():
-    behavior = BehaviorModel(("a",), {("A", "a"): 1.0, ("B", "a"): 1.0})
-    evidence = EvidenceModel(("e",), {("a", "A", "e"): 1.0, ("a", "B", "e"): 1.0})
-    base = _two_type_scenario(behavior, evidence, 0.5)
-    policy = PolicyConfig(0.5, 0.0, decay_rate=0.1, baseline=TrustState({"A": 1.0}))
-    with pytest.raises(ValidationError) as info:
-        Scenario(base.space, base.profiles, base.entities, policy, 1, 0)
-    assert info.value.key == "policy.baseline"

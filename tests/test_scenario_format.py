@@ -11,8 +11,9 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_kernel import scenarios
 
 from ztsim import document
 from ztsim.document import _OTHER, _load_yaml, _parse_yaml
@@ -179,6 +180,13 @@ def test_scenario_round_trip_identity(scenarios_dir):
         again = parse_scenario(text)
         assert again == scenario
         assert serialize_scenario(again) == text
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_drawn_scenario_round_trips_through_its_document(scenario):
+    # Every field the model holds is one a document can state.
+    assert parse_scenario(serialize_scenario(scenario)) == scenario
 
 
 def test_game_round_trip_identity(game_specs_dir):

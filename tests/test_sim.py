@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ztsim import trust
 from ztsim.errors import ValidationError, ZeroProbabilityObservation
+from ztsim.scenario import load_scenario
 from ztsim.sim import (
     CHALLENGE,
     DENY,
@@ -16,6 +20,7 @@ from ztsim.sim import (
     initial_state,
     policy_decide,
     run,
+    run_seeds,
     sample_action,
     step,
 )
@@ -148,19 +153,21 @@ def test_step_denied_entity_only_attenuates():
         assert rec.score_after == pytest.approx(rec.score_before)  # decay_rate 0
 
 
-def test_step_no_entities_advances_tick():
-    scenario = Scenario(
-        space=TypeSpace(("trusted", "malicious"), {"trusted"}),
-        profiles={"p": overt_profile()},
-        entities=(),
-        policy=POLICY,
-        horizon=2,
-        seed=0,
-    )
-    state = initial_state(scenario)
-    new_state, records = step(scenario, state, {})
-    assert records == []
-    assert new_state.tick == 1
+def test_scenario_needs_an_entity():
+    with pytest.raises(ValidationError) as info:
+        Scenario(TypeSpace(("trusted", "malicious"), {"trusted"}), {"p": overt_profile()}, (), POLICY, 2, 0)
+    assert info.value.key == "entities"
+    assert info.value.reason == "must be non-empty"
+
+
+def test_prior_is_composed_once_per_entity(scenarios_dir):
+    # From the document through a sweep, each entity's prior is composed when
+    # its EntitySpec is built and read from there on.
+    with mock.patch.object(trust, "compose_prior", wraps=trust.compose_prior) as compose:
+        scenario = load_scenario(scenarios_dir / "apt_stealth.yaml")
+        traces = list(run_seeds(scenario, range(3)))
+    assert len(traces) == 3
+    assert compose.call_count == len(scenario.entities) == 3
 
 
 def test_run_horizon_one_matches_single_step():
