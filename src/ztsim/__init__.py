@@ -16,8 +16,8 @@ _EXPORTS = {
         "EntitySpec", "Metrics", "PolicyConfig", "Profile", "Scenario", "SimTrace",
         "StepRecord", "compute_metrics", "policy_decide", "run", "step",
     ),
-    "scenario": ("load_scenario", "parse_scenario", "serialize_scenario"),
-    "gamespec": ("load_game", "parse_game", "serialize_game"),
+    "scenario": ("load_scenario", "parse_scenario"),
+    "gamespec": ("load_game", "parse_game"),
     "trace": ("emit_trace",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,12 +1,12 @@
-"""Game-spec documents: one game kind per file, payoff tables written as
-labeled rows. Shares the schema-version and diagnostic conventions of the
+"""Game-spec document parsing: one game kind per file, payoff tables written
+as labeled rows. Shares the schema-version and diagnostic conventions of the
 scenario format.
 """
 from __future__ import annotations
 
 from functools import partial
 
-from .document import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _section
+from .document import _fields, _flatten, _load_yaml, _read, _section
 from .errors import ScenarioFormatError, ValidationError, labels, real, table
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 
@@ -104,73 +104,6 @@ _KINDS = {
     }),
 }
 GAME_KINDS = tuple(_KINDS)
-
-
-def _labeled(matrix, rows, cols):
-    return {r: dict(zip(cols, row)) for r, row in zip(rows, matrix)}
-
-
-def serialize_game(game) -> str:
-    """Canonical YAML rendering of any supported game object."""
-    if isinstance(game, MatrixGame):
-        body = {
-            "row_labels": list(game.row_labels),
-            "col_labels": list(game.col_labels),
-            "payoff": _labeled(game.payoff, game.row_labels, game.col_labels),
-        }
-        doc = {"schema_version": SCHEMA_VERSION, "matrix_game": body}
-    elif isinstance(game, BimatrixGame):
-        body = {
-            "row_labels": list(game.row_labels),
-            "col_labels": list(game.col_labels),
-            "leader_payoff": _labeled(game.leader_payoff, game.row_labels, game.col_labels),
-            "follower_payoff": _labeled(game.follower_payoff, game.row_labels, game.col_labels),
-        }
-        doc = {"schema_version": SCHEMA_VERSION, "bimatrix_game": body}
-    elif isinstance(game, BayesianGameSpec):
-        body = {
-            "players": list(game.players),
-            "types": {p: list(v) for p, v in game.types.items()},
-            "actions": {p: list(v) for p, v in game.actions.items()},
-            "prior": [
-                {"types": dict(zip(game.players, prof)), "p": p}
-                for prof, p in game.prior.items()
-            ],
-            "utilities": [
-                {
-                    "actions": dict(zip(game.players, aprof)),
-                    "types": dict(zip(game.players, tprof)),
-                    "u": {p: game.utilities[p][(aprof, tprof)] for p in game.players},
-                }
-                for aprof in game.action_profiles()
-                for tprof in game.type_profiles()
-            ],
-        }
-        doc = {"schema_version": SCHEMA_VERSION, "bayesian_game": body}
-    elif isinstance(game, SignalingGameSpec):
-        body = {
-            "types": list(game.types),
-            "prior": {t: game.prior[t] for t in game.types},
-            "signals": list(game.signals),
-            "receiver_actions": list(game.receiver_actions),
-            "sender_utility": {
-                t: {
-                    s: {a: game.sender_utility[(t, s, a)] for a in game.receiver_actions}
-                    for s in game.signals
-                }
-                for t in game.types
-            },
-            "receiver_utility": {
-                a: {t: game.receiver_utility[(a, t)] for t in game.types}
-                for a in game.receiver_actions
-            },
-        }
-        doc = {"schema_version": SCHEMA_VERSION, "signaling_game": body}
-    else:
-        raise ScenarioFormatError("game", "-", f"unsupported game object {type(game).__name__}")
-    import yaml
-
-    return yaml.safe_dump(doc, sort_keys=False)
 
 
 def load_game(path):

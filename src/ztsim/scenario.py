@@ -1,4 +1,4 @@
-"""Scenario document parsing and serialization.
+"""Scenario document parsing.
 
 The on-disk format is YAML with an explicit schema version. Probability tables
 are written as labeled rows keyed by type/action/evidence identifiers, never
@@ -6,11 +6,11 @@ positional arrays, so every validation failure can name the section and key
 that caused it. The parser maps the document onto the model constructors and
 checks only its structure; the constructors make every value check, the
 non-empty entity list included. The document states every field the model
-holds, so parse(serialize(s)) == s for every valid scenario.
+holds.
 """
 from __future__ import annotations
 
-from .document import SCHEMA_VERSION, _fields, _flatten, _load_yaml, _read, _section
+from .document import _fields, _flatten, _load_yaml, _read, _section
 from .sim import EntitySpec, PolicyConfig, Profile, Scenario
 from .trust import BehaviorModel, EvidenceModel, TypeSpace
 
@@ -72,54 +72,6 @@ def parse_scenario(text) -> Scenario:
             policy=policy,
             **run,
         )
-
-
-def serialize_scenario(scenario: Scenario) -> str:
-    """Canonical YAML rendering, writing every field of the model."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "type_space": {
-            "types": list(scenario.space.types),
-            "trusted": list(scenario.space.trusted),
-        },
-        "profiles": {},
-        "entities": [],
-        "policy": {
-            "grant_threshold": scenario.policy.grant_threshold,
-            "deny_threshold": scenario.policy.deny_threshold,
-            "decay_rate": scenario.policy.decay_rate,
-            "observe_while_denied": scenario.policy.observe_while_denied,
-        },
-        "run": {"horizon": scenario.horizon, "seed": scenario.seed},
-    }
-    for name, profile in scenario.profiles.items():
-        behavior = {
-            theta: {a: profile.behavior.prob(a, theta) for a in profile.behavior.actions}
-            for theta in scenario.space.types
-        }
-        evidence = {
-            a: {
-                theta: {
-                    e: profile.evidence.prob(e, a, theta)
-                    for e in profile.evidence.evidence_values
-                }
-                for theta in scenario.space.types
-            }
-            for a in profile.behavior.actions
-        }
-        doc["profiles"][name] = {"behavior": behavior, "evidence": evidence}
-    for e in scenario.entities:
-        doc["entities"].append(
-            {
-                "id": e.id,
-                "true_type": e.true_type,
-                "profile": e.profile,
-                "prior": [{"score": s, "weight": w} for s, w in e.prior_sources],
-            }
-        )
-    import yaml
-
-    return yaml.safe_dump(doc, sort_keys=False)
 
 
 def load_scenario(path) -> Scenario:

@@ -12,6 +12,7 @@ primitives derive is non-negative and normalized by construction.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,7 +222,8 @@ def sequence_update(state, obs_list, behavior, evidence) -> TrustState:
 
 def compose_prior(sources) -> float:
     """Weight-normalized mean of (score, weight) sources from policy checks,
-    reputation, recommendations, etc."""
+    reputation, recommendations, etc. A subnormal weight (its product with a
+    score keeps too few bits) and an overflowing weight total are rejected."""
     sources = list(sources)
     if not sources:
         raise NoPriorSources("no sources given", "prior")
@@ -232,10 +234,14 @@ def compose_prior(sources) -> float:
         weight = real(weight, f"prior[{j}].weight")
         if weight < 0:
             raise ValidationError(f"must be non-negative, got {weight}", f"prior[{j}].weight")
+        if 0 < weight < sys.float_info.min:
+            raise ValidationError(f"must be 0 or a normal float, got {weight}", f"prior[{j}].weight")
         total += score * weight
         total_w += weight
     if total_w <= 0:
         raise NoPriorSources("all source weights are zero", "prior")
+    if not math.isfinite(total_w):
+        raise ValidationError("source weights sum past the largest float", "prior")
     return min(1.0, max(0.0, total / total_w))
 
 
@@ -259,9 +265,9 @@ def attenuate(state: TrustState, elapsed, rate, baseline: TrustState) -> TrustSt
     return TrustState(mass=dict(zip(state.mass, mass.tolist())), timestamp=state.timestamp)
 
 
-def uniform_state(space: TypeSpace, timestamp: int = 0) -> TrustState:
+def uniform_state(space: TypeSpace) -> TrustState:
     n = len(space.types)
-    return TrustState(mass={t: 1.0 / n for t in space.types}, timestamp=timestamp)
+    return TrustState(mass={t: 1.0 / n for t in space.types})
 
 
 def check_score(score, space: TypeSpace):
@@ -273,7 +279,7 @@ def check_score(score, space: TypeSpace):
         raise ValidationError("trust score below 1 but no untrusted types")
 
 
-def state_from_score(score, space: TypeSpace, timestamp: int = 0) -> TrustState:
+def state_from_score(score, space: TypeSpace) -> TrustState:
     """Spread a scalar trust score uniformly over the trusted types and the
     remainder over the untrusted ones."""
     score = _prob(score, "trust score")
@@ -284,4 +290,4 @@ def state_from_score(score, space: TypeSpace, timestamp: int = 0) -> TrustState:
         mass[t] = score / len(space.trusted)
     for t in untrusted:
         mass[t] = (1.0 - score) / len(untrusted)
-    return TrustState(mass=mass, timestamp=timestamp)
+    return TrustState(mass=mass)

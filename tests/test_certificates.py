@@ -6,6 +6,7 @@ solvers work on payoffs mapped into [1, 2], so the answers themselves do not
 depend on the payoff scale."""
 import numpy as np
 import pytest
+from doc_writer import serialize_game
 
 from ztsim.cli import EXIT_RUNTIME, main
 from ztsim.games import (
@@ -17,7 +18,6 @@ from ztsim.games import (
 )
 from ztsim.games import matrix, stackelberg
 from ztsim.games.matrix import certificate_tol
-from ztsim.gamespec import serialize_game
 
 # The zero-sum game has a saddle point at (r0, c1) with value -0.46 x scale,
 # and the Stackelberg follower answers column 1. At payoff scale 1e-9 the

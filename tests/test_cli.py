@@ -6,11 +6,11 @@ import subprocess
 import sys
 
 import pytest
+from doc_writer import serialize_game
 
 from ztsim import cli
 from ztsim.cli import EXIT_BUDGET, EXIT_OK, EXIT_RUNTIME, EXIT_VALIDATION, main
 from ztsim.games import BayesianGameSpec
-from ztsim.gamespec import serialize_game
 from ztsim.scenario import load_scenario
 from ztsim.sim import compute_metrics, run
 from ztsim.trace import metrics_to_dict, step_record_to_dict
@@ -517,6 +517,11 @@ REJECTED_VALUES = [
      "matrix_game payoff.rock: expected a mapping"),
     ("game", "probe: {patch: 1, monitor: 0}", "probe: {patch: 1, monitr: 0}",
      "bimatrix_game follower_payoff.probe.monitr: undeclared label 'monitr'"),
+    ("scenario", "{score: 0.7, weight: 2.0}\n      - {score: 0.8, weight: 1.0}",
+     "{score: 0.7, weight: 1.0e+308}\n      - {score: 0.8, weight: 1.0e+308}",
+     "entities[0] prior: source weights sum past the largest float"),
+    ("scenario", "{score: 0.7, weight: 2.0}", "{score: 0.7, weight: 5.0e-324}",
+     "entities[0] prior[0].weight"),
 ]
 
 
@@ -540,7 +545,8 @@ REJECTED_VALUES = [
          "game-unknown-key", "bayesian-prior-unknown-key", "matrix-body-unknown-key",
          "bimatrix-body-unknown-key", "bayesian-body-unknown-key", "signaling-body-unknown-key",
          "bayesian-utility-unknown-key", "prior-scalar", "prior-mapping", "payoff-row-undeclared-col",
-         "payoff-row-missing-col", "payoff-row-list", "bimatrix-row-undeclared-col"],
+         "payoff-row-missing-col", "payoff-row-list", "bimatrix-row-undeclared-col",
+         "prior-weights-overflow", "prior-weight-subnormal"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

@@ -1,7 +1,8 @@
 """What a fresh process imports. `import ztsim` imports no submodule: each
 public name is imported from its module on first use. PyYAML is imported
-only for a document outside the plain subset that `document._plain` reads,
-or to serialize one; every shipped document is in that subset."""
+only for a document outside the plain subset that `document._plain` reads;
+every shipped document is in that subset."""
+import ast
 import json
 import os
 import pathlib
@@ -35,6 +36,23 @@ def _imported_by_cli(*argv):
     """The modules `python -m ztsim *argv` imports, as `-X importtime` lists them."""
     lines = _python("-X", "importtime", "-m", "ztsim", *argv).stderr.splitlines()
     return {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+
+
+def test_only_document_py_imports_yaml():
+    """The package reads documents and writes none, so one module knows PyYAML.
+    Every import statement counts, a function-level one included."""
+    importers = set()
+    for path in (REPO_ROOT / "src" / "ztsim").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not `from .x import`
+                names = [node.module]
+            else:
+                continue
+            if any(name.partition(".")[0] == "yaml" for name in names):
+                importers.add(path.relative_to(REPO_ROOT / "src").as_posix())
+    assert importers == {"ztsim/document.py"}
 
 
 def test_import_ztsim_imports_no_submodule():

@@ -15,13 +15,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from doc_writer import serialize_scenario
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from ztsim import sim
 from ztsim.cli import EXIT_RUNTIME, main
 from ztsim.errors import ValidationError, ZeroProbabilityObservation, ZtsimError
-from ztsim.scenario import serialize_scenario
 from ztsim.sim import (
     DENY,
     CompiledScenario,

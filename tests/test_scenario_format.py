@@ -11,6 +11,7 @@ from unittest import mock
 
 import pytest
 import yaml
+from doc_writer import serialize_game, serialize_scenario
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_kernel import scenarios
@@ -19,8 +20,8 @@ from ztsim import document
 from ztsim.document import _OTHER, _load_yaml, _parse_yaml
 from ztsim.errors import ScenarioFormatError, TraceWriteError
 from ztsim.games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
-from ztsim.gamespec import load_game, parse_game, serialize_game
-from ztsim.scenario import load_scenario, parse_scenario, serialize_scenario
+from ztsim.gamespec import load_game, parse_game
+from ztsim.scenario import load_scenario, parse_scenario
 from ztsim.sim import run
 from ztsim.trace import emit_trace, metrics_to_dict, step_record_to_dict
 
@@ -350,7 +351,7 @@ def test_pure_python_fallback_parses_shipped_files(monkeypatch):
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["chosen", "fallback"])
 def test_plain_documents_are_read_without_a_yaml_loader(monkeypatch, fallback):
-    # The subset reader reads every document the package ships or serializes,
+    # The subset reader reads every document the package ships or the tests write,
     # and the benchmark's test data, whichever loader PyYAML offers.
     texts = [p.read_text(encoding="utf-8") for p in SHIPPED_SCENARIOS + SHIPPED_GAMES + TESTDATA]
     texts += [MINIMAL] + [serialize_scenario(load_scenario(p)) for p in SHIPPED_SCENARIOS]

@@ -135,6 +135,9 @@ def test_compose_prior_examples():
     assert compose_prior([(0.7, 1.0)]) == pytest.approx(0.7)
     assert compose_prior([(0.6, 0.5), (0.8, 0.5)]) == pytest.approx(0.7)
     assert compose_prior([(0.9, 3.0), (0.1, 1.0)]) == pytest.approx(0.7)
+    # The smallest normal weight, and weights whose total is still finite.
+    assert compose_prior([(0.9, 2.2250738585072014e-308)]) == pytest.approx(0.9)
+    assert compose_prior([(0.7, 1e308), (0.8, 0.5e308)]) == pytest.approx(0.7 + 0.1 / 3)
 
 
 def test_compose_prior_errors():
@@ -144,6 +147,25 @@ def test_compose_prior_errors():
         compose_prior([(0.5, 0.0), (0.9, 0.0)])
     with pytest.raises(ValidationError):
         compose_prior([(1.5, 1.0)])
+
+
+@pytest.mark.parametrize("sources", [[(0.5, 1e308), (0.5, 1e308)], [(0.7, 1.7e308), (0.8, 0.9e308)]])
+def test_compose_prior_rejects_weights_summing_past_the_largest_float(sources):
+    """The weight total is inf, so the mean would read 0.0 whatever the scores."""
+    with pytest.raises(ValidationError) as info:
+        compose_prior(sources)
+    assert info.value.key == "prior"
+
+
+@pytest.mark.parametrize("weight", [5e-324, 1e-310, math.nextafter(2.2250738585072014e-308, 0.0)])
+def test_compose_prior_rejects_subnormal_weights(weight):
+    """A subnormal weight loses precision in score * weight: (0.9, 5e-324) read 1.0."""
+    with pytest.raises(ValidationError) as info:
+        compose_prior([(0.9, weight)])
+    assert info.value.key == "prior[0].weight"
+    with pytest.raises(ValidationError) as info:
+        compose_prior([(0.4, 1.0), (0.9, weight)])
+    assert info.value.key == "prior[1].weight"
 
 
 def test_attenuate_rate_zero_is_identity():
