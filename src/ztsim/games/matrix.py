@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import CertificateError, ValidationError, labels, real
+from .signaling import left_sum
 from .simplex import solve_lp
 
 CHECK_TOL = 1e-9
@@ -87,8 +88,9 @@ class MixedStrategy:
         w = tuple(float(v) for v in self.weights)
         if any(v < -CHECK_TOL for v in w):
             raise ValidationError("mixed strategy weights must be non-negative")
-        if abs(sum(w) - 1.0) > 1e-9:
-            raise ValidationError(f"mixed strategy weights must sum to 1, got {sum(w)}")
+        total = left_sum(w)
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"mixed strategy weights must sum to 1, got {total}")
         object.__setattr__(self, "weights", tuple(max(0.0, v) for v in w))
 
 

@@ -23,8 +23,9 @@ def left_sum(values):
     """`sum` as Python 3.10 and 3.11 compute it: from int 0, adding left to
     right. From 3.12 on `sum` compensates float rounding, so the posterior,
     the receiver's action values, `find_pbe`'s array pass (which folds numpy
-    columns with it), the Bayesian type marginals and the test oracles all
-    use this, and give the same bits on every supported Python."""
+    columns with it), the Bayesian type marginals, the checks that
+    probabilities total 1 and the test oracles all use this, and give the
+    same bits and decisions on every supported Python."""
     return functools.reduce(operator.add, values, 0)
 
 
@@ -53,7 +54,7 @@ class SignalingGameSpec:
         ):
             values = {k: real(v, name) for k, v in table(entries, axes, name).items()}
             object.__setattr__(self, name, values)
-        total = sum(self.prior.values())
+        total = left_sum(self.prior.values())
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"sender type prior sums to {total}, expected 1", "prior")
         for t, p in self.prior.items():
@@ -78,8 +79,9 @@ class Belief:
     on_path: bool
 
     def __post_init__(self):
-        if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValidationError(f"belief must sum to 1, got {sum(self.probs)}")
+        total = left_sum(self.probs)
+        if abs(total - 1.0) > 1e-9:
+            raise ValidationError(f"belief must sum to 1, got {total}")
 
 
 @dataclass(frozen=True)
@@ -158,8 +160,9 @@ def receiver_best_response(spec: SignalingGameSpec, belief):
     """(action, expected value, tie flag) maximizing the belief-weighted
     receiver utility; first action in declared order wins ties."""
     probs = belief.probs if isinstance(belief, Belief) else tuple(belief)
-    if abs(sum(probs) - 1.0) > 1e-9:
-        raise ValidationError(f"belief must sum to 1, got {sum(probs)}")
+    total = left_sum(probs)
+    if abs(total - 1.0) > 1e-9:
+        raise ValidationError(f"belief must sum to 1, got {total}")
     values = [
         left_sum(p * spec.receiver_utility[(a, t)] for p, t in zip(probs, spec.types))
         for a in spec.receiver_actions
@@ -187,17 +190,15 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     more than EQ_TOL by deviating to another signal.
 
     Sender profiles are enumerated in blocks of `_BLOCK` (profile, signal)
-    pairs, each one numpy pass. A signal's belief depends only on which
-    positive-prior types send it, a bitmask, or, when none does, on the
-    signal alone. Each block maps its distinct masks to one table of beliefs
-    and receiver replies within EQ_TOL of the best, with the floats of
-    `signal_posterior` and `receiver_best_response`: weights indicator *
-    prior for every type, normalizer and action values folded left to right
-    by `left_sum`. The off-path rows come from `off_path_belief`, once per
-    signal and call. Where every signal has one reply, the sender deviation
-    check runs as array comparisons; a profile with a tied signal checks each
-    product of replies in Python. Only equilibrium profiles get a sender map,
-    `Belief`s and a `BeliefSystem`.
+    pairs, each one numpy pass. A pair is keyed by what its belief depends
+    on: the bitmask of its positive-prior senders, or `-1 - signal` when it
+    has none. One `np.unique` of a block's keys gives its table of beliefs,
+    with the floats of `signal_posterior` (weights indicator * prior, folded
+    by `left_sum`) or the signal's `off_path_belief`, and receiver replies
+    within EQ_TOL of the best. Where every signal has one reply, the sender
+    deviation check runs as array comparisons; a profile with a tied signal
+    checks each product of replies in Python. Only equilibrium profiles get
+    a sender map, `Belief`s and a `BeliefSystem`.
     """
     if off_path_rule not in OFF_PATH_RULES:
         raise ValidationError(f"unknown off-path rule {off_path_rule!r}")
@@ -216,9 +217,8 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     receiver = np.array([spec.receiver_utility[(a, t)] for t in types for a in actions]).reshape(n, -1)
     # Python ints past 62 live types, which only a one-profile game reaches.
     bits = np.array([1 << i for i in range(len(live))], np.int64 if len(live) < 63 else object)
-    # With one signal, no signal is ever off path.
-    off = [Belief(off_path_belief(spec, s, off_path_rule), on_path=False) for s in signals] if m > 1 else []
-    off_probs = np.array([b.probs for b in off]).reshape(len(off), n)
+    off = [Belief(off_path_belief(spec, s, off_path_rule), on_path=False) for s in signals]
+    off_probs = np.array([b.probs for b in off])
     place = m ** np.arange(n - 1, -1, -1)
     sig = np.arange(m)
     total, rows = m**n, max(1, _BLOCK // m)
@@ -226,18 +226,15 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     for lo in range(0, total, rows):
         combo = np.arange(lo, min(lo + rows, total))[:, None] // place % m  # [profile, type]
         masks = (combo[:, None, live_ix] == sig[:, None]) @ bits  # [profile, signal]
-        # The distinct masks, as np.unique finds them, for less per-call overhead.
-        flat = masks.ravel()
-        order = flat.argsort(kind="stable")
-        ordered = flat[order]
-        new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-        keys, first, inv = ordered[new], order[new], np.empty_like(order)
-        inv[order] = new.cumsum() - 1
-        p, k = np.divmod(first[keys != 0], m)  # where each sender set first occurs
-        weights = (combo[p] == k[:, None]) * prior
-        probs = np.concatenate((off_probs, weights / left_sum(weights.T)[:, None]))
-        # Table rows: the off-path beliefs by signal, then the block's sender sets.
-        row = np.where(masks != 0, inv.reshape(masks.shape) + len(off) - int(keys[0] == 0), sig)
+        # A pair's belief depends on its sender set or, off path, on its signal.
+        keys = np.where(masks != 0, masks, -1 - sig)
+        keys, first, row = np.unique(keys, return_index=True, return_inverse=True)
+        row = row.reshape(masks.shape)  # numpy 1.x returns it flat
+        p, k = np.divmod(first, m)  # where each key first occurs
+        probs = (combo[p] == k[:, None]) * prior  # Bayes weights, then beliefs
+        off_row = keys < 0  # no live sender: normalizer 0, belief from the rule
+        probs /= (left_sum(probs.T) + off_row)[:, None]
+        probs[off_row] = off_probs[k[off_row]]
         values = left_sum((probs[:, :, None] * receiver).swapaxes(0, 1))  # [row, action]
         pick = (values >= values.max(1, keepdims=True) - EQ_TOL).argmax(1)
         ok = values >= values[np.arange(len(values)), pick, None] - EQ_TOL
@@ -256,8 +253,8 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
             sender_strategy = tuple(sender_map.items())
             beliefs = BeliefSystem(
                 tuple(
-                    (s, off[x] if x < len(off) else Belief(tuple(probs[x].tolist()), on_path=True))
-                    for s, x in zip(signals, here)
+                    (s, o if off_row[x] else Belief(tuple(probs[x].tolist()), on_path=True))
+                    for s, x, o in zip(signals, here, off)
                 )
             )
             classification = _classify(spec, sender_map)

@@ -5,6 +5,8 @@ import pytest
 from pbe_reference import sender_optimal_signal
 from ztsim.errors import EnumerationBudgetExceeded, ValidationError
 from ztsim.games import (
+    Belief,
+    MixedStrategy,
     SignalingGameSpec,
     find_pbe,
     off_path_belief,
@@ -240,3 +242,45 @@ def test_spec_validation():
             sender_utility={("t", "s", "a"): 0.0},
             receiver_utility={("a", "t"): 0.0},
         )
+
+
+def _four_type_spec(prior):
+    types = ("t0", "t1", "t2", "t3")
+    return SignalingGameSpec(
+        types=types,
+        prior=dict(zip(types, prior)),
+        signals=("s",),
+        receiver_actions=("a",),
+        sender_utility={(t, "s", "a"): 0.0 for t in types},
+        receiver_utility={("a", t): 0.0 for t in types},
+    )
+
+
+_UNIFORM = _four_type_spec([0.25] * 4)
+_TOTAL_CHECKS = {
+    "prior": _four_type_spec,
+    "belief": lambda probs: Belief(tuple(probs), on_path=True),
+    "best_response": lambda probs: receiver_best_response(_UNIFORM, probs),
+    "mixed_strategy": lambda probs: MixedStrategy(tuple(probs)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_TOTAL_CHECKS))
+@pytest.mark.parametrize(
+    "probs, accepted",
+    [
+        # Folded left to right: 0.9999999989999999, rejected; 3.12's `sum` gives 0.999999999.
+        ([0.2131699555314425, 0.480789715324906, 0.13554078057328256, 0.17049954757036895], False),
+        # Folded: 0.999999999, accepted; 3.12's `sum` gives 0.9999999989999999.
+        ([0.09317390507685908, 0.4653592647194387, 0.08100978174324754, 0.3604570474604546], True),
+    ],
+    ids=["rejected", "accepted"],
+)
+def test_probability_totals_fold_left_to_right_at_the_bound(check, probs, accepted):
+    """Each check totals with `left_sum`, so it decides alike on every Python,
+    though builtin `sum` compensates from 3.12 on."""
+    if accepted:
+        _TOTAL_CHECKS[check](probs)
+    else:
+        with pytest.raises(ValidationError, match="sum"):
+            _TOTAL_CHECKS[check](probs)
