@@ -133,7 +133,9 @@ def run(mutant):
         src = Path(tmp) / "src"
         shutil.copytree(REPO_ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         apply(mutant, src)
-        env = {**os.environ, "PYTHONPATH": str(src)}
+        # Hypothesis saves the examples that kill a mutant; keep them out of
+        # the repository's database, where tier-1 would replay them.
+        env = {**os.environ, "PYTHONPATH": str(src), "HYPOTHESIS_STORAGE_DIRECTORY": str(Path(tmp) / ".hypothesis")}
         for test in mutant.tests:
             argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", test]
             proc = subprocess.run(argv, cwd=REPO_ROOT, env=env, capture_output=True, text=True)

@@ -4,15 +4,24 @@ oracle for `ztsim.games.simplex` and for the commitment LPs of
 
 It shares no code with the solver under test: it handles general LPs
 (equality rows, negative right-hand sides) through a phase 1 over artificial
-variables, prices with Bland's rule throughout and computes row by row. Only
-the exception classes come from ztsim, so outcomes compare by class.
-`solve_lp` returns the pivot count alongside the answer.
+variables, prices with Bland's rule throughout and computes row by row. The
+tableau holds exact rationals (each float converts exactly): eliminating a
+row against a near-copy of itself leaves an exact 0, not rounding residue
+above TOL that would be taken for a pivot. In floats that residue led it to
+a suboptimal vertex, or to report an unbounded LP, on games whose follower
+payoffs differ by about 1e-9 of their range. TOL still decides pricing and
+the ratio test, as before. Only the exception classes come from ztsim, so
+outcomes compare by class. `solve_lp` returns the pivot count alongside the
+answer.
 """
+from fractions import Fraction
+
 import numpy as np
 
 from ztsim.games.simplex import InfeasibleLP, UnboundedLP
 
 TOL = 1e-9
+_exact = np.vectorize(Fraction, otypes=[object])
 
 
 def _pivot(T, basis, row, col):
@@ -80,10 +89,11 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     T[:, :ntot] = A
     T[:, ntot : ntot + m] = np.eye(m)
     T[:, -1] = b
+    T = _exact(T)
     basis = list(range(ntot, ntot + m))
     phase1 = np.zeros(ntot + m + 1)
     phase1[ntot : ntot + m] = 1.0
-    if _run(T, basis, phase1, ntot + m, pivots) > 1e-7:
+    if _run(T, basis, _exact(phase1), ntot + m, pivots) > 1e-7:
         raise InfeasibleLP("infeasible linear program")
     for i in range(m):
         if basis[i] >= ntot:
@@ -94,10 +104,10 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
 
     phase2 = np.zeros(ntot + m + 1)
     phase2[:n] = c
-    _run(T, basis, phase2, ntot, pivots)
-    x = np.zeros(ntot)
+    _run(T, basis, _exact(phase2), ntot, pivots)
+    x = _exact(np.zeros(ntot))
     for i, bi in enumerate(basis):
         if bi < ntot:
             x[bi] = T[i, -1]
     sol = x[:n]
-    return sol, float(c @ sol), pivots[0]
+    return sol.astype(float), float(_exact(c) @ sol), pivots[0]

@@ -9,7 +9,7 @@ reference)."""
 from contextlib import contextmanager
 
 import numpy as np
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import stackelberg_reference
@@ -117,8 +117,32 @@ def _assert_matches_reference(game):
     return f"columns skipped: {skipped if skipped < 2 else '2+'}"
 
 
+# Follower columns that differ by about 1e-9 of the payoff range. With a
+# float tableau the reference took rounding residue for pivots: on the first
+# two games it stopped at a suboptimal vertex (0.5 and 0.2048, not 1), on the
+# third it reported an unbounded LP.
+_Z = (0.0,) * 6
+_NEAR_COPY_COLUMNS = [
+    BimatrixGame(
+        leader_payoff=((0, 0, 0, 0, 1.0, 0), _Z, _Z, _Z, _Z, (0, 0, 0, 0.5, 0, 0)),
+        follower_payoff=((0, 0, 0, 0, 0.970703125, 0), (0, 0, 0, 1e-9, -0.25, 0), (0, 0, 0, 0, 0.5, 0), _Z, _Z, _Z),
+    ),
+    BimatrixGame(
+        leader_payoff=((0, 0, 0, 0, 1.0, 0), _Z, _Z, _Z, _Z, _Z),
+        follower_payoff=((0, 0, 0, 0, 0.970703125, 0), (0, 0, 0, 1e-9, -0.25, 0), (0, 0, 0, 0, 0.5, 0), _Z, _Z, _Z),
+    ),
+    BimatrixGame(
+        leader_payoff=(_Z, _Z, _Z, _Z, _Z, (0, 0, 0, 0, 100.0, 0)),
+        follower_payoff=(_Z, (0, 0, 0, 1e-7, -100.0, 0), _Z, (0, 0, 0, 0, 12.5, 0), _Z, (0, 0, 0, 0, 4.6875, 0)),
+    ),
+]
+
+
 @settings(deadline=None)
 @given(bimatrix_games())
+@example(_NEAR_COPY_COLUMNS[0])
+@example(_NEAR_COPY_COLUMNS[1])
+@example(_NEAR_COPY_COLUMNS[2])
 def test_mixed_matches_unpruned_reference(game):
     event(_assert_matches_reference(game))
 
