@@ -107,6 +107,23 @@ CATALOG = (
         ),
     ),
     Mutant(
+        "distribution total checked above 1 only",
+        "ztsim/errors.py",
+        "if abs(total - 1.0) > PROB_TOL:",
+        "if total - 1.0 > PROB_TOL:",
+        (
+            "tests/test_signaling_games.py::test_probability_totals_fold_left_to_right_at_the_bound[rejected-prior]",
+            "tests/test_signaling_games.py::test_probability_totals_fold_left_to_right_at_the_bound[rejected-trust_state]",
+        ),
+    ),
+    Mutant(
+        "probability clamp drops -0.0",
+        "ztsim/errors.py",
+        "return min(max(p, 0.0), 1.0)",
+        "return min(1.0, max(0.0, p))",
+        ("tests/test_pbe_oracle.py::test_blocks_of_seven_pairs_keep_signed_zeros_and_boundary_gains",),
+    ),
+    Mutant(
         "emit_trace counts one record per write",
         "ztsim/trace.py",
         "chunks, size = _sim_ticks(records), len(records.compiled.ids)",

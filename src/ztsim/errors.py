@@ -1,9 +1,14 @@
-"""Exception hierarchy shared across the package, and the three rules every
+"""Exception hierarchy shared across the package, and the four rules every
 model applies to what it takes from documents: `real` for numbers, `labels`
-for identifier lists and `table` for tables keyed by those labels."""
+for identifier lists, `table` for tables keyed by those labels and
+`distribution` for probability distributions."""
+import functools
 import itertools
 import math
 import numbers
+import operator
+
+PROB_TOL = 1e-9
 
 
 class ZtsimError(Exception):
@@ -71,6 +76,41 @@ def table(entries, axes, key):
         path = (path,) if single else path
         i = next(i for i in range(1, len(axes) + 1) if path[:i] not in present)
         raise ValidationError("missing", _dotted(key, path[:i]))
+    return out
+
+
+def left_sum(values):
+    """`sum` as Python 3.10 and 3.11 compute it: from int 0, adding left to
+    right. From 3.12 on `sum` compensates float rounding, so the posterior,
+    the receiver's action values, `find_pbe`'s array pass (which folds numpy
+    columns with it), the Bayesian type marginals, `distribution`'s totals
+    and the test oracles all use this, and give the same bits and decisions
+    on every supported Python."""
+    return functools.reduce(operator.add, values, 0)
+
+
+def probability(p, key):
+    """A probability: a finite number within PROB_TOL of [0, 1], returned as
+    a float clamped into [0, 1]. The clamp keeps -0.0 as it is."""
+    p = real(p, key)
+    if p < -PROB_TOL or p > 1 + PROB_TOL:
+        raise ValidationError(f"must lie in [0, 1], got {p}", key)
+    return min(max(p, 0.0), 1.0)
+
+
+def distribution(probs, key):
+    """`probs`, a dict {label: p}, with every entry a `probability` (keyed
+    `key.label`) and their `left_sum`, in the dict's order, within PROB_TOL
+    of 1."""
+    out = {}
+    for label, p in probs.items():
+        try:
+            out[label] = probability(p, key)
+        except ValidationError as exc:  # the entry's key is built only here
+            raise ValidationError(exc.reason, _dotted(key, (label,))) from None
+    total = left_sum(out.values())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValidationError(f"sums to {total}, expected 1", key)
     return out
 
 

@@ -8,8 +8,7 @@ import math
 from dataclasses import dataclass
 
 from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError
-from ..errors import labels, real, table
-from .signaling import left_sum
+from ..errors import distribution, labels, left_sum, real, table
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -33,15 +32,7 @@ class BayesianGameSpec:
             per_player = table(getattr(self, name), (players,), name)
             per_player = {p: labels(v, f"{name}.{p}") for p, v in per_player.items()}
             object.__setattr__(self, name, per_player)
-        object.__setattr__(self, "prior", {k: real(v, "prior") for k, v in self.prior.items()})
-        axes = (tuple(self.action_profiles()), tuple(self.type_profiles()))
-        utilities = {}
-        for p, entries in table(self.utilities, (players,), "utilities").items():
-            key = f"utilities.{p}"
-            utilities[p] = {k: real(u, key) for k, u in table(entries, axes, key).items()}
-        object.__setattr__(self, "utilities", utilities)
-        total = 0.0
-        for profile, prob in self.prior.items():
+        for profile in self.prior:
             if len(profile) != len(self.players):
                 raise ValidationError(f"type profile {profile!r} has wrong arity", "prior")
             for p, t in zip(self.players, profile):
@@ -50,11 +41,13 @@ class BayesianGameSpec:
                         f"type profile {profile!r} names undeclared type {t!r} of player {p!r}",
                         "prior",
                     )
-            if prob < 0:
-                raise ValidationError(f"{profile!r} must have a probability >= 0", "prior")
-            total += prob
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"joint type prior sums to {total}, expected 1", "prior")
+        object.__setattr__(self, "prior", distribution(self.prior, "prior"))
+        axes = (tuple(self.action_profiles()), tuple(self.type_profiles()))
+        utilities = {}
+        for p, entries in table(self.utilities, (players,), "utilities").items():
+            key = f"utilities.{p}"
+            utilities[p] = {k: real(u, key) for k, u in table(entries, axes, key).items()}
+        object.__setattr__(self, "utilities", utilities)
 
     def type_profiles(self):
         return itertools.product(*(self.types[p] for p in self.players))

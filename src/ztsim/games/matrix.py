@@ -9,11 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CertificateError, ValidationError, labels, real
-from .signaling import left_sum
+from ..errors import CertificateError, ValidationError, distribution, labels, real
 from .simplex import solve_lp
 
-CHECK_TOL = 1e-9
 CERT_RTOL = 1e-6
 
 
@@ -85,13 +83,8 @@ class MixedStrategy:
     weights: tuple
 
     def __post_init__(self):
-        w = tuple(float(v) for v in self.weights)
-        if any(v < -CHECK_TOL for v in w):
-            raise ValidationError("mixed strategy weights must be non-negative")
-        total = left_sum(w)
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"mixed strategy weights must sum to 1, got {total}")
-        object.__setattr__(self, "weights", tuple(max(0.0, v) for v in w))
+        weights = distribution(dict(enumerate(self.weights)), "weights")
+        object.__setattr__(self, "weights", tuple(weights.values()))
 
 
 @dataclass(frozen=True)

@@ -6,27 +6,17 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EnumerationBudgetExceeded, ValidationError, labels, real, table
+from ..errors import EnumerationBudgetExceeded, ValidationError
+from ..errors import distribution, labels, left_sum, real, table
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
 OFF_PATH_RULES = ("uniform", "prior", "pessimistic")
 _BLOCK = 1 << 15  # (sender profile, signal) pairs per array pass of find_pbe
-
-
-def left_sum(values):
-    """`sum` as Python 3.10 and 3.11 compute it: from int 0, adding left to
-    right. From 3.12 on `sum` compensates float rounding, so the posterior,
-    the receiver's action values, `find_pbe`'s array pass (which folds numpy
-    columns with it), the Bayesian type marginals, the checks that
-    probabilities total 1 and the test oracles all use this, and give the
-    same bits and decisions on every supported Python."""
-    return functools.reduce(operator.add, values, 0)
 
 
 @dataclass(frozen=True)
@@ -47,19 +37,13 @@ class SignalingGameSpec:
         types, signals, actions = self.types, self.signals, self.receiver_actions
         # A type the prior leaves out has probability 0.
         prior = dict.fromkeys(types, 0.0) | dict(self.prior)
+        object.__setattr__(self, "prior", distribution(table(prior, (types,), "prior"), "prior"))
         for name, entries, axes in (
-            ("prior", prior, (types,)),
             ("sender_utility", self.sender_utility, (types, signals, actions)),
             ("receiver_utility", self.receiver_utility, (actions, types)),
         ):
             values = {k: real(v, name) for k, v in table(entries, axes, name).items()}
             object.__setattr__(self, name, values)
-        total = left_sum(self.prior.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"sender type prior sums to {total}, expected 1", "prior")
-        for t, p in self.prior.items():
-            if p < 0:
-                raise ValidationError("must be non-negative", f"prior.{t}")
 
     @functools.cached_property
     def _point_replies(self):
@@ -79,9 +63,7 @@ class Belief:
     on_path: bool
 
     def __post_init__(self):
-        total = left_sum(self.probs)
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"belief must sum to 1, got {total}")
+        distribution(dict(enumerate(self.probs)), "belief")
 
 
 @dataclass(frozen=True)
@@ -160,9 +142,7 @@ def receiver_best_response(spec: SignalingGameSpec, belief):
     """(action, expected value, tie flag) maximizing the belief-weighted
     receiver utility; first action in declared order wins ties."""
     probs = belief.probs if isinstance(belief, Belief) else tuple(belief)
-    total = left_sum(probs)
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError(f"belief must sum to 1, got {total}")
+    distribution(dict(enumerate(probs)), "belief")
     values = [
         left_sum(p * spec.receiver_utility[(a, t)] for p, t in zip(probs, spec.types))
         for a in spec.receiver_actions

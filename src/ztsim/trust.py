@@ -17,18 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoPriorSources, ValidationError, ZeroProbabilityObservation, labels, real
-
-PROB_TOL = 1e-9
-
-
-def _prob(p, key):
-    """A probability: a finite number within PROB_TOL of [0, 1], returned as
-    a float clamped into [0, 1]."""
-    p = real(p, key)
-    if p < -PROB_TOL or p > 1 + PROB_TOL:
-        raise ValidationError(f"must lie in [0, 1], got {p}", key)
-    return min(1.0, max(0.0, p))
+from .errors import PROB_TOL, NoPriorSources, ValidationError, ZeroProbabilityObservation
+from .errors import distribution, labels, probability, real, table
 
 
 @dataclass(frozen=True)
@@ -59,36 +49,22 @@ class TrustState:
     def __post_init__(self):
         if self.timestamp < 0:
             raise ValidationError("timestamp must be non-negative")
-        mass, total = {}, 0.0
-        for t, p in dict(self.mass).items():
-            mass[t] = _prob(p, f"mass[{t!r}]")
-            total += mass[t]
-        object.__setattr__(self, "mass", mass)
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"trust mass must sum to 1, got {total}")
+        object.__setattr__(self, "mass", distribution(dict(self.mass), "mass"))
 
 
-def _check_rows(likelihood, columns, name, what):
-    """Check a likelihood table keyed by (*row, column): every key names a
-    declared column, and every row is a probability distribution over all the
-    columns, summed in declared order. Returns the table with float values."""
-    table, rows = {}, {}
+def _check_rows(likelihood, columns, name):
+    """Check a likelihood table keyed by (*row, column): every row is a
+    `distribution` over exactly the declared columns, summed in declared
+    order. Returns the table with float values."""
+    rows = {}
     for k, p in likelihood.items():
-        row, col = k[:-1], k[-1]
+        rows.setdefault(k[:-1], {})[k[-1]] = p
+    out = {}
+    for row, entries in rows.items():
         key = ".".join(map(str, (name, *row)))
-        if col not in columns:
-            raise ValidationError(f"unknown {what} {col!r}", key)
-        table[k] = _prob(p, f"{key}.{col}")
-        rows[row] = key
-    for row, key in rows.items():
-        total = 0.0
-        for c in columns:
-            if (*row, c) not in table:
-                raise ValidationError(f"missing {what} {c!r}", key)
-            total += table[(*row, c)]
-        if abs(total - 1.0) > PROB_TOL:
-            raise ValidationError(f"row sums to {total}, expected 1", key)
-    return table
+        for col, p in distribution(table(entries, (columns,), key), key).items():
+            out[(*row, col)] = p
+    return out
 
 
 @dataclass(frozen=True)
@@ -101,7 +77,7 @@ class BehaviorModel:
     def __post_init__(self):
         object.__setattr__(self, "actions", labels(self.actions, "actions"))
         object.__setattr__(
-            self, "likelihood", _check_rows(self.likelihood, self.actions, "behavior", "action")
+            self, "likelihood", _check_rows(self.likelihood, self.actions, "behavior")
         )
 
     def prob(self, action, theta):
@@ -123,7 +99,7 @@ class EvidenceModel:
         object.__setattr__(
             self,
             "likelihood",
-            _check_rows(self.likelihood, self.evidence_values, "evidence", "evidence value"),
+            _check_rows(self.likelihood, self.evidence_values, "evidence"),
         )
 
     def prob(self, evidence, action, theta):
@@ -230,7 +206,7 @@ def compose_prior(sources) -> float:
     total_w = 0.0
     total = 0.0
     for j, (score, weight) in enumerate(sources):
-        score = _prob(score, f"prior[{j}].score")
+        score = probability(score, f"prior[{j}].score")
         weight = real(weight, f"prior[{j}].weight")
         if weight < 0:
             raise ValidationError(f"must be non-negative, got {weight}", f"prior[{j}].weight")
@@ -282,7 +258,7 @@ def check_score(score, space: TypeSpace):
 def state_from_score(score, space: TypeSpace) -> TrustState:
     """Spread a scalar trust score uniformly over the trusted types and the
     remainder over the untrusted ones."""
-    score = _prob(score, "trust score")
+    score = probability(score, "trust score")
     check_score(score, space)
     untrusted = [t for t in space.types if t not in space.trusted]
     mass = {}

@@ -4,7 +4,7 @@ are recomputed from the raw tables with plain loops."""
 
 import itertools
 
-from ztsim.games.signaling import left_sum
+from ztsim.errors import left_sum
 
 
 def _interim_utility(spec, player_idx, own_type, own_action, strategy_maps):

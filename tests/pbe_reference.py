@@ -6,9 +6,9 @@ deviation check on per-profile dicts. Action values are folded with
 a fixed receiver strategy, which no solver needs."""
 import itertools
 
-from ztsim.errors import EnumerationBudgetExceeded, ValidationError
+from ztsim.errors import EnumerationBudgetExceeded, ValidationError, left_sum
 from ztsim.games import BeliefSystem, PBEResult, receiver_best_response, signal_posterior
-from ztsim.games.signaling import DEFAULT_BUDGET, EQ_TOL, OFF_PATH_RULES, _classify, left_sum
+from ztsim.games.signaling import DEFAULT_BUDGET, EQ_TOL, OFF_PATH_RULES, _classify
 
 
 def find_pbe(spec, off_path_rule="uniform", budget=DEFAULT_BUDGET):

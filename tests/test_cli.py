@@ -522,6 +522,12 @@ REJECTED_VALUES = [
      "entities[0] prior: source weights sum past the largest float"),
     ("scenario", "{score: 0.7, weight: 2.0}", "{score: 0.7, weight: 5.0e-324}",
      "entities[0] prior[0].weight"),
+    ("scenario", "apt: {routine: 0.75, anomalous: 0.25}", "apt: {routine: 0.75, anomalous: 0.25, exfil: 0.0}",
+     "profiles.workstation behavior.apt.exfil: undeclared label 'exfil'"),
+    ("scenario", "apt: {routine: 0.75, anomalous: 0.25}", "apt: {routine: 1.0}",
+     "profiles.workstation behavior.apt.anomalous: missing"),
+    ("scenario", "staff: {routine: 0.95, anomalous: 0.05}", "staff: {routine: 0.85, anomalous: 0.05}",
+     "profiles.workstation behavior.staff: sums to 0.9, expected 1"),
 ]
 
 
@@ -546,7 +552,8 @@ REJECTED_VALUES = [
          "bimatrix-body-unknown-key", "bayesian-body-unknown-key", "signaling-body-unknown-key",
          "bayesian-utility-unknown-key", "prior-scalar", "prior-mapping", "payoff-row-undeclared-col",
          "payoff-row-missing-col", "payoff-row-list", "bimatrix-row-undeclared-col",
-         "prior-weights-overflow", "prior-weight-subnormal"],
+         "prior-weights-overflow", "prior-weight-subnormal", "behavior-undeclared-action",
+         "behavior-missing-action", "behavior-row-total"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

@@ -5,6 +5,7 @@ import pytest
 from pbe_reference import sender_optimal_signal
 from ztsim.errors import EnumerationBudgetExceeded, ValidationError
 from ztsim.games import (
+    BayesianGameSpec,
     Belief,
     MixedStrategy,
     SignalingGameSpec,
@@ -14,6 +15,7 @@ from ztsim.games import (
     signal_posterior,
     verify_pbe,
 )
+from ztsim.trust import BehaviorModel, TrustState
 
 
 def test_signal_posterior_hand_bayes(honeypot_spec):
@@ -256,12 +258,28 @@ def _four_type_spec(prior):
     )
 
 
+_FOUR = ("t0", "t1", "t2", "t3")
+
+
+def _four_type_bayesian_spec(prior):
+    return BayesianGameSpec(
+        players=("p",),
+        types={"p": _FOUR},
+        actions={"p": ("a",)},
+        prior={(t,): p for t, p in zip(_FOUR, prior)},
+        utilities={"p": {(("a",), (t,)): 0.0 for t in _FOUR}},
+    )
+
+
 _UNIFORM = _four_type_spec([0.25] * 4)
 _TOTAL_CHECKS = {
     "prior": _four_type_spec,
+    "bayesian_prior": _four_type_bayesian_spec,
     "belief": lambda probs: Belief(tuple(probs), on_path=True),
     "best_response": lambda probs: receiver_best_response(_UNIFORM, probs),
     "mixed_strategy": lambda probs: MixedStrategy(tuple(probs)),
+    "trust_state": lambda probs: TrustState(dict(zip(_FOUR, probs))),
+    "behavior_row": lambda probs: BehaviorModel(_FOUR, {("T", a): p for a, p in zip(_FOUR, probs)}),
 }
 
 
@@ -284,3 +302,15 @@ def test_probability_totals_fold_left_to_right_at_the_bound(check, probs, accept
     else:
         with pytest.raises(ValidationError, match="sum"):
             _TOTAL_CHECKS[check](probs)
+
+
+@pytest.mark.parametrize("build", [
+    lambda prior: _four_type_spec(prior).prior["t3"],
+    lambda prior: _four_type_bayesian_spec(prior).prior[("t3",)],
+], ids=["signaling", "bayesian"])
+def test_prior_entries_just_below_zero(build):
+    """A prior entry within PROB_TOL below 0 is stored as 0.0; one further
+    out is rejected, naming the entry."""
+    assert repr(build([0.5, 0.25, 0.25 + 1e-10, -1e-10])) == "0.0"
+    with pytest.raises(ValidationError, match=r"prior\.\S*t3\S*: must lie in \[0, 1\], got -2e-09"):
+        build([0.5, 0.25, 0.25 + 2e-9, -2e-9])

@@ -97,19 +97,15 @@ def _assert_matches_reference(game):
     if not _certified(game, expected):
         return "the reference answer fails the certificate"
     L, F = np.array(game.leader_payoff), np.array(game.follower_payoff)
-    # The reference reports its LP objective, whose mix may sum to 1 only
-    # within its phase-1 tolerance; compare the mix's own payoff.
-    reference = float(np.array(expected.leader_strategy.weights) @ L[:, expected.follower_action])
-    gap = abs(got.leader_value - reference)
-    # The loops call follower payoffs within EQ_TOL x range(F) ties here and
-    # within EQ_TOL (absolute) in the reference: where one answer leans on a
-    # tie the other does not grant, the two may differ.
+    gap = abs(got.leader_value - expected.leader_value)
+    # Both loops call follower payoffs within EQ_TOL x range(F) ties, each
+    # through its own simplex: where one answer leans on a tie the other does
+    # not grant, the two may differ.
     near = EQ_TOL * min(1.0, float(F.max() - F.min())) / 10
     if max(_follower_slack(game, got), _follower_slack(game, expected)) > near:
         return "follower near tie"
     if got.follower_action != expected.follower_action:
-        # Each loop keeps the first column within EQ_TOL of its best, in its
-        # own units: EQ_TOL x range(L) here, EQ_TOL in the reference.
+        # Each loop keeps the first column within EQ_TOL x range(L) of its best.
         assert gap <= 2 * EQ_TOL * max(1.0, float(L.max() - L.min()))
         return "leader near tie, another follower action"
     assert gap <= certificate_tol(L)
@@ -136,6 +132,20 @@ _NEAR_COPY_COLUMNS = [
         follower_payoff=(_Z, (0, 0, 0, 1e-7, -100.0, 0), _Z, (0, 0, 0, 0, 12.5, 0), _Z, (0, 0, 0, 0, 4.6875, 0)),
     ),
 ]
+# Payoffs far below the simplex's TOL of 1e-9. Priced on raw payoffs, the
+# reference stopped at -0.0 on the first game, where the solver rightly finds
+# 1.36e-124. On the second, columns 0 to 3 tie for the follower once F is
+# mapped into [1, 2], and the leader's best among them is column 1.
+_TINY_PAYOFFS = [
+    BimatrixGame(
+        leader_payoff=((0, 0), (1.3584614157766253e-124, 0)),
+        follower_payoff=((0, 0), (0, 0)),
+    ),
+    BimatrixGame(
+        leader_payoff=((0, 1.0, 0, 0, 0),),
+        follower_payoff=((9.9e-248, 0, 0, 0, -1.0),),
+    ),
+]
 
 
 @settings(deadline=None)
@@ -143,6 +153,8 @@ _NEAR_COPY_COLUMNS = [
 @example(_NEAR_COPY_COLUMNS[0])
 @example(_NEAR_COPY_COLUMNS[1])
 @example(_NEAR_COPY_COLUMNS[2])
+@example(_TINY_PAYOFFS[0])
+@example(_TINY_PAYOFFS[1])
 def test_mixed_matches_unpruned_reference(game):
     event(_assert_matches_reference(game))
 

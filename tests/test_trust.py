@@ -364,14 +364,14 @@ def test_uniform_state():
 
 
 @pytest.mark.parametrize("mass, message", [
-    ({"T": 1.5, "M": -0.5}, "mass['T']: must lie in [0, 1], got 1.5"),
-    ({"T": 0.5, "M": -2e-9}, "mass['M']: must lie in [0, 1], got -2e-09"),
-    ({"T": math.nan, "M": 0.5}, "mass['T']: must be a finite number, got nan"),
-    ({"T": math.inf, "M": 0.5}, "mass['T']: must be a finite number, got inf"),
-    ({"T": "0.5", "M": 0.5}, "mass['T']: must be a finite number, got '0.5'"),
-    ({"T": 0.5, "M": 0.4}, "trust mass must sum to 1, got 0.9"),
-    ({"T": True, "M": 0.0}, "mass['T']: must be a finite number, got True"),
-])
+    ({"T": 1.5, "M": -0.5}, "mass.T: must lie in [0, 1], got 1.5"),
+    ({"T": 0.5, "M": -2e-9}, "mass.M: must lie in [0, 1], got -2e-09"),
+    ({"T": math.nan, "M": 0.5}, "mass.T: must be a finite number, got nan"),
+    ({"T": math.inf, "M": 0.5}, "mass.T: must be a finite number, got inf"),
+    ({"T": "0.5", "M": 0.5}, "mass.T: must be a finite number, got '0.5'"),
+    ({"T": 0.5, "M": 0.4}, "mass: sums to 0.9, expected 1"),
+    ({"T": True, "M": 0.0}, "mass.T: must be a finite number, got True"),
+], ids=["above-one", "below-tolerance", "nan", "inf", "quoted", "total", "bool"])
 def test_trust_state_rejects_mass_naming_the_entry(mass, message):
     with pytest.raises(ValidationError) as info:
         TrustState(mass)
