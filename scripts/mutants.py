@@ -83,6 +83,37 @@ CATALOG = (
         ("tests/test_pbe_oracle.py::test_pessimistic_rule_computes_point_replies_once_per_spec",),
     ),
     Mutant(
+        "sender rows keep their entries without the distribution rule",
+        "ztsim/games/signaling.py",
+        "distribution(table(row, (spec.signals,), key), key)[signal]",
+        "table(row, (spec.signals,), key)[signal]",
+        (
+            "tests/test_signaling_games.py::test_signal_posterior_rejects_sender_strategy_naming_the_entry[row_total]",
+            "tests/test_signaling_games.py::test_signal_posterior_rejects_sender_strategy_naming_the_entry[entry_above_one]",
+            "tests/test_signaling_games.py::test_sender_rows_hold_to_prob_tol",
+        ),
+    ),
+    Mutant(
+        "receiver belief length left to zip",
+        "ztsim/games/signaling.py",
+        'distribution(table(dict(enumerate(probs)), (range(len(spec.types)),), "belief"), "belief")',
+        'distribution(dict(enumerate(probs)), "belief")',
+        (
+            "tests/test_signaling_games.py::test_receiver_best_response_takes_one_probability_per_type[too_few]",
+            "tests/test_signaling_games.py::test_receiver_best_response_takes_one_probability_per_type[too_many]",
+        ),
+    ),
+    Mutant(
+        "simplex without the Bland fallback",
+        "ztsim/games/simplex.py",
+        "DEGENERATE_RUN = 50",
+        "DEGENERATE_RUN = 10**9",
+        (
+            "tests/test_simplex_oracle.py::test_beale_1955_lp_reaches_its_optimum[fallback]",
+            "tests/test_simplex_oracle.py::test_beale_cycling_lp_terminates_through_the_bland_fallback",
+        ),
+    ),
+    Mutant(
         "score text deduplicated by value",
         "ztsim/sim.py",
         "np.unique(scores.view(np.int64), return_inverse=True)",

@@ -97,13 +97,18 @@ class BayesianStrategy:
 def bayes_expected_utility(spec: BayesianGameSpec, strategy, player, ptype) -> float:
     """Interim expected utility of `player` with type `ptype` under a pure
     strategy profile, averaging over opponents' types with the conditional
-    belief derived from the joint prior."""
+    belief derived from the joint prior. `strategy` is a `table` over the
+    players of `table`s over their types; every label must be declared."""
     if isinstance(strategy, BayesianStrategy):
         strategy = strategy.as_dict()
-    for p in spec.players:
-        for t in spec.types[p]:
-            if t not in strategy.get(p, {}):
-                raise ValidationError(f"strategy missing action for player {p!r} type {t!r}")
+    for p, choices in table(strategy, (spec.players,), "strategy").items():
+        for t, a in table(choices, (spec.types[p],), f"strategy.{p}").items():
+            if a not in spec.actions[p]:
+                raise ValidationError(f"undeclared action {a!r}", f"strategy.{p}.{t}")
+    if player not in spec.players:
+        raise ValidationError(f"undeclared label {player!r}", "player")
+    if ptype not in spec.types[player]:
+        raise ValidationError(f"undeclared label {ptype!r}", "ptype")
     i = spec.players.index(player)
     belief = spec.conditional(player, ptype)
     total = 0.0

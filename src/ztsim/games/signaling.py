@@ -97,52 +97,51 @@ def off_path_belief(spec: SignalingGameSpec, signal, rule) -> tuple:
     uniform: flat over types. prior: the type prior. pessimistic: the
     degenerate belief whose induced receiver response minimizes the best
     deviation payoff any sender type could get at this signal (first type on
-    ties), i.e. the most deviation-deterring point belief.
+    ties), i.e. the most deviation-deterring point belief. The rule is
+    checked here and nowhere else.
     """
+    if rule not in OFF_PATH_RULES:
+        raise ValidationError(f"unknown rule {rule!r}, expected one of {OFF_PATH_RULES}", "off_path_rule")
     n = len(spec.types)
     if rule == "uniform":
         return tuple(1.0 / n for _ in spec.types)
     if rule == "prior":
         return tuple(spec.prior[t] for t in spec.types)
-    if rule == "pessimistic":
-        best = None
-        for point, action in spec._point_replies:
-            worst_gain = max(
-                spec.sender_utility[(th, signal, action)] for th in spec.types
-            )
-            if best is None or worst_gain < best[0] - EQ_TOL:
-                best = (worst_gain, point)
-        return best[1]
-    raise ValidationError(f"unknown off-path rule {rule!r}; expected one of {OFF_PATH_RULES}")
+    best = None
+    for point, action in spec._point_replies:
+        worst_gain = max(spec.sender_utility[(th, signal, action)] for th in spec.types)
+        if best is None or worst_gain < best[0] - EQ_TOL:
+            best = (worst_gain, point)
+    return best[1]
 
 
 def signal_posterior(spec: SignalingGameSpec, sender_strategy, signal, off_path_rule="uniform") -> Belief:
     """Bayes posterior over sender types after observing `signal`.
 
-    `sender_strategy` maps each type to a distribution over signals (a pure
-    strategy may be given as type -> signal). Zero total signal probability
-    yields the configured off-path belief.
+    `sender_strategy` is a `table` over the types of `distribution`s over the
+    signals, a signal a row leaves out at 0 and a pure row type -> signal
+    read as {signal: 1.0}. Zero total signal probability yields the
+    off-path belief, whose rule is checked on path too.
     """
     if signal not in spec.signals:
-        raise ValidationError(f"unknown signal {signal!r}")
+        raise ValidationError(f"undeclared label {signal!r}", "signal")
+    off = off_path_belief(spec, signal, off_path_rule)
     weights = []
-    for t in spec.types:
-        row = sender_strategy[t]
-        p_sig = row.get(signal, 0.0) if isinstance(row, dict) else (1.0 if row == signal else 0.0)
-        if p_sig < -1e-12 or p_sig > 1 + 1e-12:
-            raise ValidationError(f"sender strategy row for {t!r} has invalid probability {p_sig}")
-        weights.append(p_sig * spec.prior[t])
+    for t, row in table(sender_strategy, (spec.types,), "sender_strategy").items():
+        key = f"sender_strategy.{t}"
+        row = dict.fromkeys(spec.signals, 0.0) | (row if isinstance(row, dict) else {row: 1.0})
+        weights.append(distribution(table(row, (spec.signals,), key), key)[signal] * spec.prior[t])
     z = left_sum(weights)
     if z > 0:
         return Belief(tuple(w / z for w in weights), on_path=True)
-    return Belief(off_path_belief(spec, signal, off_path_rule), on_path=False)
+    return Belief(off, on_path=False)
 
 
 def receiver_best_response(spec: SignalingGameSpec, belief):
     """(action, expected value, tie flag) maximizing the belief-weighted
     receiver utility; first action in declared order wins ties."""
     probs = belief.probs if isinstance(belief, Belief) else tuple(belief)
-    distribution(dict(enumerate(probs)), "belief")
+    distribution(table(dict(enumerate(probs)), (range(len(spec.types)),), "belief"), "belief")
     values = [
         left_sum(p * spec.receiver_utility[(a, t)] for p, t in zip(probs, spec.types))
         for a in spec.receiver_actions
@@ -180,15 +179,10 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     checks each product of replies in Python. Only equilibrium profiles get
     a sender map, `Belief`s and a `BeliefSystem`.
     """
-    if off_path_rule not in OFF_PATH_RULES:
-        raise ValidationError(f"unknown off-path rule {off_path_rule!r}")
-    required = len(spec.signals) ** len(spec.types) * len(spec.receiver_actions) ** len(
-        spec.signals
-    )
+    types, signals, actions = spec.types, spec.signals, spec.receiver_actions
+    required = len(signals) ** len(types) * len(actions) ** len(signals)
     if required > budget:
         raise EnumerationBudgetExceeded(required, budget)
-
-    types, signals, actions = spec.types, spec.signals, spec.receiver_actions
     n, m = len(types), len(signals)
     utility, live = _sender_tables(spec)
     sender, nested = utility[live], utility.tolist()  # [live type, signal, action]

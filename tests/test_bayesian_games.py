@@ -11,6 +11,7 @@ from ztsim.errors import EnumerationBudgetExceeded, UnreachableType, ValidationE
 from ztsim.games import BayesianGameSpec, BayesianStrategy, bayes_expected_utility, find_bne
 from ztsim.games import bayesian
 from ztsim.games.bayesian import strategy_space_size
+from ztsim.gamespec import load_game
 
 
 def two_type_matching_game():
@@ -406,3 +407,34 @@ def test_budget_boundary():
     with pytest.raises(EnumerationBudgetExceeded) as info:
         find_bne(spec, budget=required - 1)
     assert info.value.required == required
+
+
+_INSIDER = {"insider": {"diligent": "comply", "negligent": "shortcut"}, "auditor": {"generic": "comply"}}
+
+
+@pytest.mark.parametrize(
+    "strategy, player, ptype, message",
+    [
+        ({**_INSIDER, "insider": {**_INSIDER["insider"], "extra": "comply"}}, "insider", "diligent",
+         "strategy.insider.extra: undeclared label 'extra'"),
+        ({"insider": {"diligent": "comply"}, "auditor": _INSIDER["auditor"]}, "insider", "diligent",
+         "strategy.insider.negligent: missing"),
+        ({"insider": _INSIDER["insider"]}, "insider", "diligent", "strategy.auditor: missing"),
+        ({**_INSIDER, "boss": {"generic": "comply"}}, "insider", "diligent", "strategy.boss: undeclared label 'boss'"),
+        ({**_INSIDER, "auditor": {"generic": "nap"}}, "auditor", "generic",
+         "strategy.auditor.generic: undeclared action 'nap'"),
+        (_INSIDER, "boss", "generic", "player: undeclared label 'boss'"),
+        (_INSIDER, "insider", "sloppy", "ptype: undeclared label 'sloppy'"),
+    ],
+    ids=["undeclared_type", "missing_type", "missing_player", "undeclared_player", "undeclared_action",
+         "undeclared_player_argument", "undeclared_type_argument"],
+)
+def test_expected_utility_checks_labels_naming_the_entry(game_specs_dir, strategy, player, ptype, message):
+    """The strategy is a `table` over the players and their types, and each
+    choice, player and type must be declared: none reads as a raw KeyError
+    or as an unreachable type."""
+    spec = load_game(game_specs_dir / "insider_matching.yaml")
+    assert bayes_expected_utility(spec, _INSIDER, "insider", "diligent") == 3.0
+    with pytest.raises(ValidationError) as info:
+        bayes_expected_utility(spec, strategy, player, ptype)
+    assert str(info.value) == message

@@ -274,7 +274,10 @@ def test_solve_output_file(game_specs_dir, tmp_path, capsys):
     (["--seeds", "1.5..3"], "--seeds expects A..B with integer bounds, got '1.5..3'\n"),
     (["--seeds", "1..3"], "--seeds writes only to --out and --metrics; give one or both\n"),
     (["--seeds", "1..2", "--out", "/"], "--seeds needs an --out path that ends in a file name, got '/'\n"),
-], ids=["seed", "seeds-low", "seeds-both", "seeds-word", "seeds-float", "seeds-no-output", "seeds-out-no-name"])
+    (["--seeds", "5"], "--seeds expects A..B, got '5'\n"),
+    (["--seeds", "3..1"], "--seeds range is empty: '3..1'\n"),
+], ids=["seed", "seeds-low", "seeds-both", "seeds-word", "seeds-float", "seeds-no-output", "seeds-out-no-name",
+        "seeds-one-number", "seeds-empty"])
 def test_run_bad_seed_call_exit_one(scenarios_dir, capsys, argv, reason):
     scenario = str(scenarios_dir / "apt_stealth.yaml")
     code, out, err = run_cli(["run", "--scenario", scenario] + argv, capsys)
@@ -528,6 +531,8 @@ REJECTED_VALUES = [
      "profiles.workstation behavior.apt.anomalous: missing"),
     ("scenario", "staff: {routine: 0.95, anomalous: 0.05}", "staff: {routine: 0.85, anomalous: 0.05}",
      "profiles.workstation behavior.staff: sums to 0.9, expected 1"),
+    ("scenario", "id: bob", "id: alice", "scenario entities[1].id: duplicate id 'alice'"),
+    ("scenario", "decay_rate: 0.01", "decay_rate: -0.01", "policy decay_rate: must be non-negative, got -0.01"),
 ]
 
 
@@ -553,7 +558,7 @@ REJECTED_VALUES = [
          "bayesian-utility-unknown-key", "prior-scalar", "prior-mapping", "payoff-row-undeclared-col",
          "payoff-row-missing-col", "payoff-row-list", "bimatrix-row-undeclared-col",
          "prior-weights-overflow", "prior-weight-subnormal", "behavior-undeclared-action",
-         "behavior-missing-action", "behavior-row-total"],
+         "behavior-missing-action", "behavior-row-total", "entity-id-repeated", "decay-negative"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

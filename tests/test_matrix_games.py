@@ -61,6 +61,23 @@ def test_nonfinite_entries_rejected():
         MatrixGame(((float("inf"), 0),))
 
 
+@pytest.mark.parametrize(
+    "kwargs, key, reason",
+    [
+        ({"payoff": ()}, "payoff", "payoff matrix must be at least 1x1"),
+        ({"payoff": ((),)}, "payoff", "payoff matrix must be at least 1x1"),
+        ({"payoff": ((1, 2), (3,))}, "payoff", "payoff rows must have equal length"),
+        ({"payoff": ((1, 2),), "row_labels": ("a", "b")}, "row_labels", "label lengths must match matrix dimensions"),
+        ({"payoff": ((1, 2),), "col_labels": ("a",)}, "col_labels", "label lengths must match matrix dimensions"),
+    ],
+    ids=["empty", "empty-row", "ragged", "row-label-count", "col-label-count"],
+)
+def test_matrix_shape_checks_name_the_field(kwargs, key, reason):
+    with pytest.raises(ValidationError) as info:
+        MatrixGame(**kwargs)
+    assert (info.value.key, info.value.reason) == (key, reason)
+
+
 def test_mixed_strategy_validation():
     with pytest.raises(ValidationError):
         MixedStrategy((0.5, 0.6))

@@ -80,6 +80,14 @@ def test_missing_section_named():
     assert "policy" in str(info.value)
 
 
+@pytest.mark.parametrize("text", ["- schema_version: 1\n- 2\n", "[1, 2]\n", "1\n"], ids=["block-list", "flow-list", "scalar"])
+@pytest.mark.parametrize("parse, section", [(parse_scenario, "scenario"), (parse_game, "game")], ids=["scenario", "game"])
+def test_top_level_that_is_not_a_mapping_is_rejected(parse, section, text):
+    with pytest.raises(ScenarioFormatError) as info:
+        parse(text)
+    assert str(info.value) == f"[{section}] -: top level must be a mapping"
+
+
 def test_wrong_schema_version_rejected():
     with pytest.raises(ScenarioFormatError) as info:
         parse_scenario(MINIMAL.replace("schema_version: 1", "schema_version: 2"))

@@ -43,8 +43,9 @@ def test_signal_posterior_off_path_uses_rule(honeypot_spec):
 
 
 def test_signal_posterior_unknown_signal(honeypot_spec):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         signal_posterior(honeypot_spec, {"real": "weak", "honeypot": "weak"}, "nope")
+    assert str(info.value) == "signal: undeclared label 'nope'"
 
 
 def test_off_path_pessimistic_picks_deterring_type(honeypot_spec):
@@ -314,3 +315,93 @@ def test_prior_entries_just_below_zero(build):
     assert repr(build([0.5, 0.25, 0.25 + 1e-10, -1e-10])) == "0.0"
     with pytest.raises(ValidationError, match=r"prior\.\S*t3\S*: must lie in \[0, 1\], got -2e-09"):
         build([0.5, 0.25, 0.25 + 2e-9, -2e-9])
+
+
+_POOL_WEAK = {"real": "weak", "honeypot": "weak"}
+
+
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        ({"real": {"weak": 0.9, "hardened": 0.9}, "honeypot": {"weak": 0.9, "hardened": 0.9}},
+         "sender_strategy.real: sums to 1.8, expected 1"),
+        ({"real": {"weak": 0.5, "typo": 0.5}, "honeypot": "weak"},
+         "sender_strategy.real.typo: undeclared label 'typo'"),
+        ({"real": "typo", "honeypot": "weak"}, "sender_strategy.real.typo: undeclared label 'typo'"),
+        ({"real": {"weak": 1.5, "hardened": -0.5}, "honeypot": "weak"},
+         "sender_strategy.real.weak: must lie in [0, 1], got 1.5"),
+        ({"real": "weak"}, "sender_strategy.honeypot: missing"),
+        ({**_POOL_WEAK, "decoy": "weak"}, "sender_strategy.decoy: undeclared label 'decoy'"),
+    ],
+    ids=["row_total", "mixed_undeclared_signal", "pure_undeclared_signal", "entry_above_one",
+         "missing_type", "undeclared_type"],
+)
+def test_signal_posterior_rejects_sender_strategy_naming_the_entry(honeypot_spec, strategy, message):
+    """Each row is a `distribution` over the declared signals, in a `table`
+    over the declared types: a bad row is never read as a prior or as off
+    path."""
+    with pytest.raises(ValidationError) as info:
+        signal_posterior(honeypot_spec, strategy, "weak")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "mixed, pure",
+    [
+        ({"real": {"weak": 1.0}, "honeypot": {"weak": 0, "hardened": 1}}, {"real": "weak", "honeypot": "hardened"}),
+        ({"real": {"weak": 1}, "honeypot": {"hardened": 0.0, "weak": 1.0}}, _POOL_WEAK),
+    ],
+    ids=["separating", "pooling"],
+)
+def test_signal_posterior_reads_point_rows_as_pure_rows(honeypot_spec, mixed, pure):
+    """A row may leave signals out, and a point row gives what the pure row
+    it equals gives, on path and off."""
+    for signal in honeypot_spec.signals:
+        got = signal_posterior(honeypot_spec, mixed, signal, "prior")
+        assert got == signal_posterior(honeypot_spec, pure, signal, "prior")
+
+
+def test_sender_rows_hold_to_prob_tol(honeypot_spec):
+    """A row entry within PROB_TOL below 0 weighs exactly 0, and a row total
+    further than PROB_TOL from 1 is rejected."""
+    near = {"real": {"weak": 0.5, "hardened": 0.5 + 5e-10}, "honeypot": {"weak": -5e-10, "hardened": 1.0}}
+    assert signal_posterior(honeypot_spec, near, "weak").probs == (1.0, 0.0)
+    far = {"real": {"weak": 0.5, "hardened": 0.5 + 2e-9}, "honeypot": "hardened"}
+    with pytest.raises(ValidationError, match=r"^sender_strategy\.real: sums to 1\.00000000"):
+        signal_posterior(honeypot_spec, far, "weak")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec: find_pbe(spec, off_path_rule="optimistic"),
+        lambda spec: signal_posterior(spec, _POOL_WEAK, "weak", off_path_rule="optimistic"),
+        lambda spec: signal_posterior(spec, _POOL_WEAK, "hardened", off_path_rule="optimistic"),
+        lambda spec: verify_pbe(spec, find_pbe(spec, "prior")[0], off_path_rule="optimistic"),
+        lambda spec: off_path_belief(spec, "weak", "optimistic"),
+    ],
+    ids=["find_pbe", "signal_posterior_on_path", "signal_posterior_off_path", "verify_pbe", "off_path_belief"],
+)
+def test_unknown_off_path_rule_is_rejected_by_one_check(honeypot_spec, call):
+    with pytest.raises(ValidationError) as info:
+        call(honeypot_spec)
+    assert info.value.key == "off_path_rule"
+    assert info.value.reason == "unknown rule 'optimistic', expected one of ('uniform', 'prior', 'pessimistic')"
+
+
+def test_find_pbe_checks_the_budget_before_the_off_path_rule(honeypot_spec):
+    with pytest.raises(EnumerationBudgetExceeded):
+        find_pbe(honeypot_spec, off_path_rule="optimistic", budget=3)
+
+
+@pytest.mark.parametrize(
+    "belief, message",
+    [((1.0,), "belief.1: missing"), ((0.5, 0.25, 0.25), "belief.2: undeclared label 2")],
+    ids=["too_few", "too_many"],
+)
+def test_receiver_best_response_takes_one_probability_per_type(honeypot_spec, belief, message):
+    with pytest.raises(ValidationError) as info:
+        receiver_best_response(honeypot_spec, belief)
+    assert str(info.value) == message
+    with pytest.raises(ValidationError, match=message):
+        receiver_best_response(honeypot_spec, Belief(belief, on_path=True))

@@ -26,6 +26,12 @@ BEALE = {
     "A": np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
     "b": np.array([0.0, 0.0, 1.0]),
 }
+# Beale's own form of it, whose optimum is 1/20 at x = (1/25, 0, 1, 0).
+BEALE_1955 = {
+    "c": np.array([0.75, -150.0, 0.02, -6.0]),
+    "A": np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]),
+    "b": np.array([0.0, 0.0, 1.0]),
+}
 
 
 @contextmanager
@@ -154,3 +160,17 @@ def test_beale_cycles_under_pure_dantzig_pricing(monkeypatch):
     with pytest.raises(RuntimeError, match="more than 1000 pivots"):
         with counted_pivots(limit=1000):
             simplex.solve_lp(BEALE["c"], BEALE["A"], BEALE["b"])
+
+
+@pytest.mark.parametrize("run", [simplex.DEGENERATE_RUN, 0], ids=["fallback", "bland_only"])
+def test_beale_1955_lp_reaches_its_optimum(monkeypatch, run):
+    """Through the fallback after a cycling Dantzig run, and with Bland's
+    rule from the first pivot, which then also finds the optimal basis. The
+    pivot cap turns a cycle into a failure."""
+    monkeypatch.setattr(simplex, "DEGENERATE_RUN", run)
+    with counted_pivots(limit=1000) as pivots:
+        x, value, _ = simplex.solve_lp(BEALE_1955["c"], BEALE_1955["A"], BEALE_1955["b"])
+    assert value == pytest.approx(0.05, rel=1e-12)
+    assert x == pytest.approx([0.04, 0.0, 1.0, 0.0])
+    assert pivots[0] > run
+    _assert_matches_oracle(BEALE_1955)

@@ -200,6 +200,34 @@ def test_attenuate_rejects_negative_inputs():
         attenuate(state, 1, -0.5, base)
 
 
+@pytest.mark.parametrize(
+    "call, reason",
+    [
+        (lambda: TrustState({"T": 1.0, "M": 0.0}, timestamp=-1), "timestamp must be non-negative"),
+        (lambda: Observation("benign", "alarm", tick=-1), "observation tick must be non-negative"),
+        (lambda: attenuate(TrustState({"T": 1.0, "M": 0.0}), 1, 0.5, TrustState({"T": 1.0, "X": 0.0})),
+         "state and baseline must share a type space"),
+    ],
+    ids=["timestamp", "tick", "baseline-types"],
+)
+def test_negative_times_and_foreign_baselines_rejected(call, reason):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (info.value.key, info.value.reason) == ("-", reason)
+
+
+@pytest.mark.parametrize(
+    "obs, reason",
+    [(Observation("exfil", "alarm"), "unknown action 'exfil'"),
+     (Observation("benign", "siren"), "unknown evidence value 'siren'")],
+    ids=["action", "evidence"],
+)
+def test_bayes_update_rejects_undeclared_observations(prior_state, behavior, evidence, obs, reason):
+    with pytest.raises(ValidationError) as info:
+        bayes_update(prior_state, obs, behavior, evidence)
+    assert (info.value.key, info.value.reason) == ("-", reason)
+
+
 def test_model_construction_rejects_bad_rows():
     with pytest.raises(ValidationError):
         BehaviorModel(("a", "b"), {("T", "a"): 0.5, ("T", "b"): 0.4})
