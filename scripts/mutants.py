@@ -104,13 +104,13 @@ CATALOG = (
         ),
     ),
     Mutant(
-        "simplex without the Bland fallback",
+        "lexicographic tie-break replaced by the first tied row",
         "ztsim/games/simplex.py",
-        "DEGENERATE_RUN = 50",
-        "DEGENERATE_RUN = 10**9",
+        "leave = tied[keys.index(min(keys))]",
+        "leave = tied[0]",
         (
-            "tests/test_simplex_oracle.py::test_beale_1955_lp_reaches_its_optimum[fallback]",
-            "tests/test_simplex_oracle.py::test_beale_cycling_lp_terminates_through_the_bland_fallback",
+            "tests/test_simplex_oracle.py::test_beale_lps_reach_their_optima[scaled]",
+            "tests/test_simplex_oracle.py::test_beale_lps_reach_their_optima[1955]",
         ),
     ),
     Mutant(

@@ -7,6 +7,7 @@ import itertools
 import math
 import numbers
 import operator
+from collections.abc import Mapping
 
 PROB_TOL = 1e-9
 
@@ -59,7 +60,9 @@ def table(entries, axes, key):
     one axis), as a dict over every combination of the labels in `axes`, in
     `itertools.product` order. An entry outside those labels and a missing
     combination are rejected; the key is `key` and the labels up to the
-    first undeclared or missing one."""
+    first undeclared or missing one, or just `key` for a non-mapping."""
+    if not isinstance(entries, Mapping):
+        raise ValidationError("expected a mapping", key)
     single = len(axes) == 1
     combos = axes[0] if single else list(itertools.product(*axes))
     out = {k: entries[k] for k in combos if k in entries}

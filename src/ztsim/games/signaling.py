@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,7 +130,10 @@ def signal_posterior(spec: SignalingGameSpec, sender_strategy, signal, off_path_
     weights = []
     for t, row in table(sender_strategy, (spec.types,), "sender_strategy").items():
         key = f"sender_strategy.{t}"
-        row = dict.fromkeys(spec.signals, 0.0) | (row if isinstance(row, dict) else {row: 1.0})
+        if isinstance(row, Hashable):  # a pure row names its signal
+            row = {row: 1.0}
+        if isinstance(row, Mapping):  # a signal the row leaves out is at 0
+            row = {**dict.fromkeys(spec.signals, 0.0), **row}
         weights.append(distribution(table(row, (spec.signals,), key), key)[signal] * spec.prior[t])
     z = left_sum(weights)
     if z > 0:

@@ -4,10 +4,11 @@ Solves  maximize c@x  subject to  A@x <= b,  x >= 0,  with b >= 0.
 
 Because b >= 0, the slack basis (x = 0) is feasible, so there is no phase 1
 and no artificial variable. Pricing is Dantzig's (most negative reduced cost
-enters); after DEGENERATE_RUN degenerate pivots in a row it switches to
-Bland's rule (smallest-index entering column, smallest-basis-index ratio
-tie-break), which cannot cycle, until a pivot makes progress again. The
-objective row holds the duals under the slack columns at the optimum.
+enters). Of the rows tied in the ratio test, the one whose row of B^-1 (the
+slack columns) over its pivot entry is lexicographically smallest leaves
+(Dantzig, Orden & Wolfe 1955). The rows of [b | B^-1] start lexicographically
+positive (B^-1 = I) and stay so, so no basis repeats under any pricing rule.
+The objective row holds the duals under the slack columns at the optimum.
 
 The tolerances are absolute, so callers scale their data to order one first
 (the game solvers map payoffs into [1, 2]). Problem sizes here are tiny
@@ -20,7 +21,6 @@ import numpy as np
 from ..errors import ZtsimError
 
 TOL = 1e-9
-DEGENERATE_RUN = 50
 
 
 class InfeasibleLP(ZtsimError):
@@ -55,27 +55,20 @@ def solve_lp(c, A, b):
     T[m, :n] = -np.asarray(c, dtype=float)
     reduced = T[m, :-1]  # a view: reduced costs of the current basis
     basis = np.arange(n, n + m)
-    degenerate = 0
     while True:
-        if degenerate < DEGENERATE_RUN:
-            enter = int(reduced.argmin())
-            if reduced[enter] >= -TOL:
-                break
-        else:
-            eligible = reduced < -TOL
-            enter = int(eligible.argmax())
-            if not eligible[enter]:
-                break
+        enter = int(reduced.argmin())
+        if reduced[enter] >= -TOL:
+            break
         col = T[:m, enter]
         rows = (col > TOL).nonzero()[0]
         if rows.size == 0:
             raise UnboundedLP("unbounded linear program")
         ratios = T[rows, -1] / col[rows]
-        step = ratios.min()
-        # Among equal minimum ratios, the smallest basis index leaves.
-        tied = rows[ratios == step]
-        leave = tied[0] if tied.size == 1 else min(tied, key=basis.__getitem__)
-        degenerate = degenerate + 1 if step <= TOL else 0
+        tied = rows[ratios == ratios.min()]
+        leave = tied[0]
+        if tied.size > 1:  # Python compares lists lexicographically
+            keys = (T[tied, n:-1] / col[tied, None]).tolist()
+            leave = tied[keys.index(min(keys))]
         _pivot(T, basis, int(leave), enter)
     x = np.zeros(n + m)
     # Rounding in the row updates can leave a basic value a few ulps below 0.

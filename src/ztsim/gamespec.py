@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import partial
 
 from .document import _fields, _flatten, _load_yaml, _read, _section
-from .errors import ScenarioFormatError, ValidationError, labels, real, table
+from .errors import ScenarioFormatError, labels, real, table
 from .games import BayesianGameSpec, BimatrixGame, MatrixGame, SignalingGameSpec
 
 
@@ -30,8 +30,6 @@ def parse_game(text):
 def _labeled_matrix(rows_doc, key, rows, cols):
     out = []
     for r, row in table(rows_doc, (rows,), key).items():
-        if not isinstance(row, dict):
-            raise ValidationError("expected a mapping", f"{key}.{r}")
         out.append(tuple(table(row, (cols,), f"{key}.{r}").values()))
     return tuple(out)
 

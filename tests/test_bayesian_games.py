@@ -425,9 +425,12 @@ _INSIDER = {"insider": {"diligent": "comply", "negligent": "shortcut"}, "auditor
          "strategy.auditor.generic: undeclared action 'nap'"),
         (_INSIDER, "boss", "generic", "player: undeclared label 'boss'"),
         (_INSIDER, "insider", "sloppy", "ptype: undeclared label 'sloppy'"),
+        ({**_INSIDER, "insider": "comply"}, "insider", "diligent", "strategy.insider: expected a mapping"),
+        ([_INSIDER], "insider", "diligent", "strategy: expected a mapping"),
     ],
     ids=["undeclared_type", "missing_type", "missing_player", "undeclared_player", "undeclared_action",
-         "undeclared_player_argument", "undeclared_type_argument"],
+         "undeclared_player_argument", "undeclared_type_argument", "row_not_a_mapping",
+         "strategy_not_a_mapping"],
 )
 def test_expected_utility_checks_labels_naming_the_entry(game_specs_dir, strategy, player, ptype, message):
     """The strategy is a `table` over the players and their types, and each

@@ -332,9 +332,11 @@ _POOL_WEAK = {"real": "weak", "honeypot": "weak"}
          "sender_strategy.real.weak: must lie in [0, 1], got 1.5"),
         ({"real": "weak"}, "sender_strategy.honeypot: missing"),
         ({**_POOL_WEAK, "decoy": "weak"}, "sender_strategy.decoy: undeclared label 'decoy'"),
+        (["weak", "weak"], "sender_strategy: expected a mapping"),
+        ({"real": ["weak"], "honeypot": "weak"}, "sender_strategy.real: expected a mapping"),
     ],
     ids=["row_total", "mixed_undeclared_signal", "pure_undeclared_signal", "entry_above_one",
-         "missing_type", "undeclared_type"],
+         "missing_type", "undeclared_type", "strategy_not_a_mapping", "row_not_a_mapping"],
 )
 def test_signal_posterior_rejects_sender_strategy_naming_the_entry(honeypot_spec, strategy, message):
     """Each row is a `distribution` over the declared signals, in a `table`

@@ -18,19 +18,23 @@ _VALUES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0])
 # Three decimals keep entries clear of the pivot tolerance.
 _FLOATS = st.floats(-5, 5).map(lambda v: round(v, 3))
 
-# Beale (1955): pure Dantzig pricing with these ratio tie-breaks cycles
-# through six degenerate bases. As a maximization, its optimum is 1.25 at
-# x = (1, 0, 1, 0).
+# Beale (1955): pure Dantzig pricing with a naive ratio tie-break (the first
+# or the smallest-basis-index tied row) cycles through six degenerate bases.
+# As a maximization, this scaled form's optimum is 1.25 at x = (1, 0, 1, 0).
 BEALE = {
     "c": np.array([0.75, -20.0, 0.5, -6.0]),
     "A": np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]),
     "b": np.array([0.0, 0.0, 1.0]),
+    "value": 1.25,
+    "x": [1.0, 0.0, 1.0, 0.0],
 }
 # Beale's own form of it, whose optimum is 1/20 at x = (1/25, 0, 1, 0).
 BEALE_1955 = {
     "c": np.array([0.75, -150.0, 0.02, -6.0]),
     "A": np.array([[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]]),
     "b": np.array([0.0, 0.0, 1.0]),
+    "value": 0.05,
+    "x": [0.04, 0.0, 1.0, 0.0],
 }
 
 
@@ -90,7 +94,10 @@ def _outcome(solve, *args):
 def _assert_matches_oracle(lp):
     c, A, b = lp["c"], lp["A"], lp["b"]
     expected, expected_exc = _outcome(simplex_reference.solve_lp, -c, A, b)
-    got, got_exc = _outcome(simplex.solve_lp, c, A, b)
+    # The LPs here have at most 7 rows and columns; the cap turns a cycling
+    # simplex into a failure instead of a hang.
+    with counted_pivots(limit=1000):
+        got, got_exc = _outcome(simplex.solve_lp, c, A, b)
     assert got_exc is expected_exc
     if expected is None:
         return
@@ -146,31 +153,13 @@ def test_rounding_leaves_no_negative_primal_value():
     _assert_matches_oracle(lp)
 
 
-def test_beale_cycling_lp_terminates_through_the_bland_fallback():
-    with counted_pivots(limit=1000) as pivots:
-        x, value, _ = simplex.solve_lp(BEALE["c"], BEALE["A"], BEALE["b"])
-    assert value == pytest.approx(1.25, rel=1e-12)
-    assert x == pytest.approx([1.0, 0.0, 1.0, 0.0])
-    # The Dantzig run cycles until the fallback takes over.
-    assert pivots[0] > simplex.DEGENERATE_RUN
-
-
-def test_beale_cycles_under_pure_dantzig_pricing(monkeypatch):
-    monkeypatch.setattr(simplex, "DEGENERATE_RUN", 10**9)
-    with pytest.raises(RuntimeError, match="more than 1000 pivots"):
-        with counted_pivots(limit=1000):
-            simplex.solve_lp(BEALE["c"], BEALE["A"], BEALE["b"])
-
-
-@pytest.mark.parametrize("run", [simplex.DEGENERATE_RUN, 0], ids=["fallback", "bland_only"])
-def test_beale_1955_lp_reaches_its_optimum(monkeypatch, run):
-    """Through the fallback after a cycling Dantzig run, and with Bland's
-    rule from the first pivot, which then also finds the optimal basis. The
-    pivot cap turns a cycle into a failure."""
-    monkeypatch.setattr(simplex, "DEGENERATE_RUN", run)
-    with counted_pivots(limit=1000) as pivots:
-        x, value, _ = simplex.solve_lp(BEALE_1955["c"], BEALE_1955["A"], BEALE_1955["b"])
-    assert value == pytest.approx(0.05, rel=1e-12)
-    assert x == pytest.approx([0.04, 0.0, 1.0, 0.0])
-    assert pivots[0] > run
-    _assert_matches_oracle(BEALE_1955)
+@pytest.mark.parametrize("lp", [BEALE, BEALE_1955], ids=["scaled", "1955"])
+def test_beale_lps_reach_their_optima(lp):
+    """Pure Dantzig pricing with a naive ratio tie-break cycles on both;
+    the lexicographic tie-break reaches the optimum. The pivot cap turns a
+    cycle into a failure."""
+    with counted_pivots(limit=1000):
+        x, value, _ = simplex.solve_lp(lp["c"], lp["A"], lp["b"])
+    assert value == pytest.approx(lp["value"], rel=1e-12)
+    assert x == pytest.approx(lp["x"])
+    _assert_matches_oracle(lp)

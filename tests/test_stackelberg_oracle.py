@@ -13,6 +13,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import stackelberg_reference
+from test_simplex_oracle import counted_pivots
 from ztsim.games import BimatrixGame, leader_maximin, solve_stackelberg
 from ztsim.games import stackelberg
 from ztsim.games.matrix import _normalise, certificate_tol
@@ -196,3 +197,19 @@ def test_first_column_within_eq_tol_keeps_winning():
     res = solve_stackelberg(game, mode="mixed")
     assert res.follower_action == 0
     _assert_matches_reference(game)
+
+
+def test_degenerate_commitment_lps_do_not_stall():
+    """Every best-response row of a commitment LP has b = 0, so its start
+    vertex is degenerate and ratio ties are frequent. The lexicographic
+    ratio test takes about 10 000 pivots on this game; switching to Bland's
+    rule after a run of degenerate pivots took 61 701."""
+    rng = np.random.default_rng(0)
+    L = rng.uniform(-1, 1, (100, 100))
+    F = rng.uniform(-1, 1, (100, 100))
+    game = BimatrixGame(tuple(map(tuple, L)), tuple(map(tuple, F)))
+    with counted_pivots(limit=20_000):
+        res = solve_stackelberg(game, mode="mixed")
+    assert res.follower_action == 48
+    assert leader_maximin(game) <= res.leader_value
+    assert _certified(game, res)
