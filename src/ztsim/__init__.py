@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "trust": (
         "BehaviorModel", "EvidenceModel", "Observation", "TrustState", "TypeSpace",
-        "attenuate", "bayes_update", "compose_prior", "sequence_update", "trust_score",
+        "attenuate", "bayes_update", "compose_prior", "trust_score",
     ),
     "sim": (
         "EntitySpec", "Metrics", "PolicyConfig", "Profile", "Scenario", "SimTrace",

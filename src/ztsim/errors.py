@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the package, and the four rules every
-model applies to what it takes from documents: `real` for numbers, `labels`
-for identifier lists, `table` for tables keyed by those labels and
-`distribution` for probability distributions."""
+"""Exception hierarchy shared across the package, and the rules every model
+and labeled function applies to what it is given: `real`, `nonnegative` and
+`integer` for numbers, `labels` for identifier lists, `label` for one
+declared identifier, `table` for tables keyed by those labels and
+`distribution` for probability distributions. Each rule names the failing
+value by its key."""
 import functools
 import itertools
 import math
@@ -18,12 +20,12 @@ class ZtsimError(Exception):
 
 class ValidationError(ZtsimError):
     """A value or model failed a structural check at construction or call time;
-    `key` is the dotted path of the failing value, "-" when there is none."""
+    `key` is the dotted path of the failing value."""
 
-    def __init__(self, reason, key="-"):
+    def __init__(self, reason, key):
         self.key = key
         self.reason = reason
-        super().__init__(reason if key == "-" else f"{key}: {reason}")
+        super().__init__(f"{key}: {reason}")
 
 
 def real(value, key):
@@ -42,6 +44,21 @@ def real(value, key):
     raise ValidationError(f"must be a finite number, got {value!r}", key)
 
 
+def nonnegative(value, key):
+    """`value` as a `real` that is not below 0."""
+    value = real(value, key)
+    if value < 0:
+        raise ValidationError(f"must be non-negative, got {value}", key)
+    return value
+
+
+def integer(value, key, low=0):
+    """`value`, an integer (not a bool) no less than `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"must be an integer >= {low}, got {value!r}", key)
+    return value
+
+
 def labels(values, key):
     """`values` as a tuple of identifiers: non-empty, hashable, none repeated."""
     values = tuple(values)
@@ -53,6 +70,16 @@ def labels(values, key):
     except TypeError as exc:  # a YAML list or mapping used as a label
         raise ValidationError(f"identifiers must be hashable: {exc}", key) from None
     return values
+
+
+def label(value, declared, key):
+    """`value`, which must be one of the `declared` labels."""
+    try:
+        if value in declared:
+            return value
+    except TypeError:  # an unhashable value is no label of a set or dict
+        pass
+    raise ValidationError(f"undeclared label {value!r}", key)
 
 
 def table(entries, axes, key):
@@ -71,8 +98,8 @@ def table(entries, axes, key):
         path = (extra,) if single else extra
         if type(path) is not tuple or len(path) != len(axes):
             raise ValidationError(f"expected {len(axes)} labels, got {extra!r}", key)
-        i = next(i for i, label in enumerate(path) if label not in axes[i])
-        raise ValidationError(f"undeclared label {path[i]!r}", _dotted(key, path[: i + 1]))
+        for i, value in enumerate(path):
+            label(value, axes[i], _dotted(key, path[: i + 1]))
     if len(out) < len(combos):
         present = {k[:i] for k in out for i in range(1, len(axes))}
         path = next(k for k in combos if k not in out)
@@ -126,19 +153,16 @@ class ZeroProbabilityObservation(ZtsimError):
     type with positive prior mass. Signals model misspecification; never
     silently reset."""
 
-    def __init__(self, action, evidence, tick=None, entity_id=None, index=None):
+    def __init__(self, action, evidence, tick=None, entity_id=None):
         self.action = action
         self.evidence = evidence
         self.tick = tick
         self.entity_id = entity_id
-        self.index = index
         where = []
         if entity_id is not None:
             where.append(f"entity={entity_id!r}")
         if tick is not None:
             where.append(f"tick={tick}")
-        if index is not None:
-            where.append(f"observation index={index}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(
             f"zero-probability observation (action={action!r}, evidence={evidence!r}){suffix}"

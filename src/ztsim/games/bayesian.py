@@ -7,8 +7,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from ..errors import EnumerationBudgetExceeded, UnreachableType, ValidationError
-from ..errors import distribution, labels, left_sum, real, table
+from ..errors import EnumerationBudgetExceeded, UnreachableType
+from ..errors import distribution, label, labels, left_sum, real, table
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -32,16 +32,9 @@ class BayesianGameSpec:
             per_player = table(getattr(self, name), (players,), name)
             per_player = {p: labels(v, f"{name}.{p}") for p, v in per_player.items()}
             object.__setattr__(self, name, per_player)
-        for profile in self.prior:
-            if len(profile) != len(self.players):
-                raise ValidationError(f"type profile {profile!r} has wrong arity", "prior")
-            for p, t in zip(self.players, profile):
-                if t not in self.types[p]:
-                    raise ValidationError(
-                        f"type profile {profile!r} names undeclared type {t!r} of player {p!r}",
-                        "prior",
-                    )
-        object.__setattr__(self, "prior", distribution(self.prior, "prior"))
+        profiles = tuple(self.type_profiles())  # one axis, so a one-player profile is a 1-tuple
+        prior = table({**dict.fromkeys(profiles, 0.0), **self.prior}, (profiles,), "prior")
+        object.__setattr__(self, "prior", distribution(prior, "prior"))
         axes = (tuple(self.action_profiles()), tuple(self.type_profiles()))
         utilities = {}
         for p, entries in table(self.utilities, (players,), "utilities").items():
@@ -103,12 +96,9 @@ def bayes_expected_utility(spec: BayesianGameSpec, strategy, player, ptype) -> f
         strategy = strategy.as_dict()
     for p, choices in table(strategy, (spec.players,), "strategy").items():
         for t, a in table(choices, (spec.types[p],), f"strategy.{p}").items():
-            if a not in spec.actions[p]:
-                raise ValidationError(f"undeclared action {a!r}", f"strategy.{p}.{t}")
-    if player not in spec.players:
-        raise ValidationError(f"undeclared label {player!r}", "player")
-    if ptype not in spec.types[player]:
-        raise ValidationError(f"undeclared label {ptype!r}", "ptype")
+            label(a, spec.actions[p], f"strategy.{p}.{t}")
+    label(player, spec.players, "player")
+    label(ptype, spec.types[player], "ptype")
     i = spec.players.index(player)
     belief = spec.conditional(player, ptype)
     total = 0.0

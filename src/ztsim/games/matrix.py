@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CertificateError, ValidationError, distribution, labels, real
+from ..errors import CertificateError, ValidationError, distribution, integer, label, labels, real
 from .simplex import solve_lp
 
 CERT_RTOL = 1e-6
@@ -148,10 +148,9 @@ def fictitious_play(game: MatrixGame, max_iters=10_000, tolerance=1e-3) -> Ficti
     max_t min_j (xbar'A)_j <= v <= min_t max_i (A ybar)_i
     always bracket the exact game value; iteration stops early when the gap
     drops below `tolerance`."""
-    if max_iters < 1:
-        raise ValidationError("max_iters must be >= 1")
-    if tolerance <= 0:
-        raise ValidationError("tolerance must be positive")
+    integer(max_iters, "max_iters", low=1)
+    if real(tolerance, "tolerance") <= 0:
+        raise ValidationError(f"must be positive, got {tolerance!r}", "tolerance")
     A = game.matrix
     n_rows, n_cols = A.shape
     row_counts = np.zeros(n_rows)
@@ -196,11 +195,13 @@ def alternate_best_response(game: MatrixGame, start, max_iters=1000) -> BestResp
     (profile, mover) states and reports the profile cycle; a pure saddle point
     reports convergence."""
     A = game.matrix
-    n_rows, n_cols = A.shape
-    r, c = start
-    if not (0 <= r < n_rows and 0 <= c < n_cols):
-        raise ValidationError(f"start profile {start} out of range")
-    profile = (r, c)
+    start = tuple(start)
+    if len(start) != 2:
+        raise ValidationError(f"expected a (row, column) pair, got {start!r}", "start")
+    for i, (s, n) in enumerate(zip(start, A.shape)):
+        label(integer(s, f"start[{i}]"), range(n), f"start[{i}]")
+    integer(max_iters, "max_iters", low=1)
+    profile = start
     trace = [profile]
     mover = "row"
     seen = {(profile, mover): 0}

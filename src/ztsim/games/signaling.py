@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EnumerationBudgetExceeded, ValidationError
-from ..errors import distribution, labels, left_sum, real, table
+from ..errors import EnumerationBudgetExceeded
+from ..errors import distribution, label, labels, left_sum, real, table
 
 EQ_TOL = 1e-9
 DEFAULT_BUDGET = 10**6
@@ -101,8 +101,7 @@ def off_path_belief(spec: SignalingGameSpec, signal, rule) -> tuple:
     ties), i.e. the most deviation-deterring point belief. The rule is
     checked here and nowhere else.
     """
-    if rule not in OFF_PATH_RULES:
-        raise ValidationError(f"unknown rule {rule!r}, expected one of {OFF_PATH_RULES}", "off_path_rule")
+    label(rule, OFF_PATH_RULES, "off_path_rule")
     n = len(spec.types)
     if rule == "uniform":
         return tuple(1.0 / n for _ in spec.types)
@@ -124,8 +123,7 @@ def signal_posterior(spec: SignalingGameSpec, sender_strategy, signal, off_path_
     read as {signal: 1.0}. Zero total signal probability yields the
     off-path belief, whose rule is checked on path too.
     """
-    if signal not in spec.signals:
-        raise ValidationError(f"undeclared label {signal!r}", "signal")
+    label(signal, spec.signals, "signal")
     off = off_path_belief(spec, signal, off_path_rule)
     weights = []
     for t, row in table(sender_strategy, (spec.types,), "sender_strategy").items():

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CertificateError, ValidationError, ZtsimError
+from ..errors import CertificateError, ZtsimError, label
 from . import simplex
 from .matrix import MixedStrategy, _check_matrices, _normalise, certificate_tol
 from .simplex import InfeasibleLP
@@ -79,8 +79,7 @@ def solve_stackelberg(game: BimatrixGame, mode="mixed") -> SSEResult:
     within `certificate_tol` of the payoff matrix involved. An answer that
     fails raises CertificateError.
     """
-    if mode not in ("pure", "mixed"):
-        raise ValidationError(f"mode must be 'pure' or 'mixed', got {mode!r}")
+    label(mode, ("pure", "mixed"), "mode")
     L = np.array(game.leader_payoff)
     F = np.array(game.follower_payoff)
     Ls, Fs = _normalise(L)[0], _normalise(F)[0]

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import trust
-from .errors import ValidationError, ZeroProbabilityObservation, real, table
+from .errors import ValidationError, ZeroProbabilityObservation
+from .errors import integer, label, nonnegative, real, table
 from .trust import (
     BehaviorModel,
     EvidenceModel,
@@ -53,8 +53,9 @@ class PolicyConfig:
     observe_while_denied: bool = False
 
     def __post_init__(self):
-        for name in ("grant_threshold", "deny_threshold", "decay_rate"):
+        for name in ("grant_threshold", "deny_threshold"):
             object.__setattr__(self, name, real(getattr(self, name), name))
+        object.__setattr__(self, "decay_rate", nonnegative(self.decay_rate, "decay_rate"))
         if not isinstance(self.observe_while_denied, bool):
             raise ValidationError("must be true or false", "observe_while_denied")
         if not (0.0 <= self.deny_threshold <= self.grant_threshold <= 1.0):
@@ -63,8 +64,6 @@ class PolicyConfig:
                 f"<= grant ({self.grant_threshold}) <= 1",
                 "deny_threshold",
             )
-        if self.decay_rate < 0:
-            raise ValidationError(f"must be non-negative, got {self.decay_rate}", "decay_rate")
 
 
 @dataclass(frozen=True)
@@ -107,22 +106,16 @@ class Scenario:
         object.__setattr__(self, "entities", tuple(self.entities))
         if not self.entities:  # a run needs someone to observe
             raise ValidationError("must be non-empty", "entities")
-        for key, value, low in (("run.horizon", self.horizon, 1), ("run.seed", self.seed, 0)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-                raise ValidationError(f"must be an integer >= {low}, got {value!r}", key)
+        integer(self.horizon, "run.horizon", low=1)
+        integer(self.seed, "run.seed")
         ids = set()
         for i, e in enumerate(self.entities):
             if e.id in ids:
                 raise ValidationError(f"duplicate id {e.id!r}", f"entities[{i}].id")
             ids.add(e.id)
-            if e.true_type not in self.space.types:
-                raise ValidationError(f"unknown type {e.true_type!r}", f"entities[{i}].true_type")
-            if e.profile not in self.profiles:
-                raise ValidationError(f"unknown profile {e.profile!r}", f"entities[{i}].profile")
-            try:  # the prior score must be expressible over this type space
-                trust.check_score(e.prior, self.space)
-            except ValidationError as exc:
-                raise ValidationError(exc.reason, f"entities[{i}].prior") from exc
+            label(e.true_type, self.space.types, f"entities[{i}].true_type")
+            label(e.profile, self.profiles, f"entities[{i}].profile")
+            trust.check_score(e.prior, self.space, f"entities[{i}].prior")
         types = self.space.types
         for name, profile in self.profiles.items():  # each table over exactly these types
             actions = profile.behavior.actions
@@ -261,7 +254,8 @@ def generate_evidence(rng, evidence: EvidenceModel, action, etype):
 def step(scenario: Scenario, state: SimState, rngs) -> tuple:
     """Advance one tick; returns (new state, records for this tick)."""
     if state.tick >= scenario.horizon:
-        raise ValidationError(f"tick {state.tick} is already at the horizon")
+        raise ValidationError(f"must be below the horizon {scenario.horizon}, got {state.tick}",
+                              "state.tick")
     tick = state.tick + 1
     baseline = trust.uniform_state(scenario.space)
     new_trust = {}

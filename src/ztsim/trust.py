@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PROB_TOL, NoPriorSources, ValidationError, ZeroProbabilityObservation
-from .errors import distribution, labels, probability, real, table
+from .errors import distribution, integer, label, labels, nonnegative, probability, table
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,9 @@ class TypeSpace:
     def __post_init__(self):
         object.__setattr__(self, "types", labels(self.types, "types"))
         # A space may trust no type, though `labels` rejects an empty list.
-        trusted = set(self.trusted and labels(self.trusted, "trusted"))
-        extra = trusted - set(self.types)
-        if extra:
-            raise ValidationError(f"unknown types {sorted(extra)}", "trusted")
+        trusted = self.trusted and labels(self.trusted, "trusted")
+        for t in trusted:
+            label(t, self.types, "trusted")
         object.__setattr__(self, "trusted", tuple(t for t in self.types if t in trusted))
 
 
@@ -47,8 +46,7 @@ class TrustState:
     timestamp: int = 0
 
     def __post_init__(self):
-        if self.timestamp < 0:
-            raise ValidationError("timestamp must be non-negative")
+        integer(self.timestamp, "timestamp")
         object.__setattr__(self, "mass", distribution(dict(self.mass), "mass"))
 
 
@@ -115,8 +113,7 @@ class Observation:
     tick: int = 0
 
     def __post_init__(self):
-        if self.tick < 0:
-            raise ValidationError("observation tick must be non-negative")
+        integer(self.tick, "tick")
 
 
 def _attenuate_rows(mass, baseline, k):
@@ -144,11 +141,7 @@ def _score_rows(mass, n_trusted):
 
 def trust_score(state: TrustState, space: TypeSpace) -> float:
     """Probability mass on the trusted subset: the entity's trust score."""
-    if set(state.mass) != set(space.types):
-        raise ValidationError(
-            f"state types {sorted(map(repr, state.mass))} do not match "
-            f"space types {sorted(map(repr, space.types))}"
-        )
+    table(state.mass, (space.types,), "state")
     trusted = np.array([state.mass[t] for t in space.trusted])
     return _score_rows(trusted, len(trusted)).item()
 
@@ -164,10 +157,8 @@ def bayes_update(
     mass'(theta) = h(e|a,theta) * sigma(a|theta) * mass(theta), normalized.
     Raises ZeroProbabilityObservation when the normalizer is zero.
     """
-    if obs.action not in behavior.actions:
-        raise ValidationError(f"unknown action {obs.action!r}")
-    if obs.evidence not in evidence.evidence_values:
-        raise ValidationError(f"unknown evidence value {obs.evidence!r}")
+    label(obs.action, behavior.actions, "obs.action")
+    label(obs.evidence, evidence.evidence_values, "obs.evidence")
     lh = [
         evidence.prob(obs.evidence, obs.action, t) * behavior.prob(obs.action, t)
         for t in state.mass
@@ -176,24 +167,6 @@ def bayes_update(
     if z <= 0.0:
         raise ZeroProbabilityObservation(obs.action, obs.evidence, tick=obs.tick)
     return TrustState(mass=dict(zip(state.mass, post.tolist())), timestamp=obs.tick)
-
-
-def sequence_update(state, obs_list, behavior, evidence) -> TrustState:
-    """Left-fold of bayes_update over an ordered list of observations."""
-    prev = -1
-    for i, obs in enumerate(obs_list):
-        if obs.tick < prev:
-            raise ValidationError(f"observation ticks must be non-decreasing (index {i})")
-        prev = obs.tick
-    out = state
-    for i, obs in enumerate(obs_list):
-        try:
-            out = bayes_update(out, obs, behavior, evidence)
-        except ZeroProbabilityObservation as exc:
-            raise ZeroProbabilityObservation(
-                exc.action, exc.evidence, tick=exc.tick, index=i
-            ) from exc
-    return out
 
 
 def compose_prior(sources) -> float:
@@ -207,9 +180,7 @@ def compose_prior(sources) -> float:
     total = 0.0
     for j, (score, weight) in enumerate(sources):
         score = probability(score, f"prior[{j}].score")
-        weight = real(weight, f"prior[{j}].weight")
-        if weight < 0:
-            raise ValidationError(f"must be non-negative, got {weight}", f"prior[{j}].weight")
+        weight = nonnegative(weight, f"prior[{j}].weight")
         if 0 < weight < sys.float_info.min:
             raise ValidationError(f"must be 0 or a normal float, got {weight}", f"prior[{j}].weight")
         total += score * weight
@@ -227,16 +198,12 @@ def attenuate(state: TrustState, elapsed, rate, baseline: TrustState) -> TrustSt
     mass'(theta) = baseline(theta) + (mass(theta) - baseline(theta)) * exp(-rate*elapsed).
     Renormalization only corrects float drift.
     """
-    if elapsed < 0:
-        raise ValidationError(f"elapsed must be non-negative, got {elapsed}")
-    if rate < 0:
-        raise ValidationError(f"decay rate must be non-negative, got {rate}")
-    if set(state.mass) != set(baseline.mass):
-        raise ValidationError("state and baseline must share a type space")
-    k = math.exp(-rate * elapsed)
+    elapsed = nonnegative(elapsed, "elapsed")
+    k = math.exp(-nonnegative(rate, "rate") * elapsed)
+    base = table(baseline.mass, (tuple(state.mass),), "baseline")
     if k == 1.0:
         return state
-    base = np.array([baseline.mass[t] for t in state.mass])
+    base = np.array(list(base.values()))
     mass = _attenuate_rows(np.array(list(state.mass.values())), base, k)
     return TrustState(mass=dict(zip(state.mass, mass.tolist())), timestamp=state.timestamp)
 
@@ -246,20 +213,20 @@ def uniform_state(space: TypeSpace) -> TrustState:
     return TrustState(mass={t: 1.0 / n for t in space.types})
 
 
-def check_score(score, space: TypeSpace):
+def check_score(score, space: TypeSpace, key):
     """Reject a score in [0, 1] that `space` cannot spread: a positive one
     with no trusted type, or one below 1 with no untrusted type."""
     if not space.trusted and score > PROB_TOL:
-        raise ValidationError("positive trust score but no trusted types")
+        raise ValidationError("positive trust score but no trusted types", key)
     if len(space.trusted) == len(space.types) and score < 1 - PROB_TOL:
-        raise ValidationError("trust score below 1 but no untrusted types")
+        raise ValidationError("trust score below 1 but no untrusted types", key)
 
 
 def state_from_score(score, space: TypeSpace) -> TrustState:
     """Spread a scalar trust score uniformly over the trusted types and the
     remainder over the untrusted ones."""
     score = probability(score, "trust score")
-    check_score(score, space)
+    check_score(score, space, "trust score")
     untrusted = [t for t in space.types if t not in space.trusted]
     mass = {}
     for t in space.trusted:

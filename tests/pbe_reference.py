@@ -13,7 +13,7 @@ from ztsim.games.signaling import DEFAULT_BUDGET, EQ_TOL, OFF_PATH_RULES, _class
 
 def find_pbe(spec, off_path_rule="uniform", budget=DEFAULT_BUDGET):
     if off_path_rule not in OFF_PATH_RULES:
-        raise ValidationError(f"unknown off-path rule {off_path_rule!r}")
+        raise ValidationError(f"unknown off-path rule {off_path_rule!r}", "off_path_rule")
     required = len(spec.signals) ** len(spec.types) * len(spec.receiver_actions) ** len(
         spec.signals
     )
@@ -75,7 +75,7 @@ def sender_optimal_signal(spec, ptype, receiver_strategy):
     receiver's signal-contingent actions; first signal wins ties."""
     for s in spec.signals:
         if s not in receiver_strategy:
-            raise ValidationError(f"receiver strategy missing signal {s!r}")
+            raise ValidationError(f"missing signal {s!r}", "receiver_strategy")
     values = [
         spec.sender_utility[(ptype, s, receiver_strategy[s])] for s in spec.signals
     ]

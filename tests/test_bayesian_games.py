@@ -139,7 +139,7 @@ def test_prior_must_sum_to_one():
 
 
 def test_prior_types_must_be_declared():
-    with pytest.raises(ValidationError, match="undeclared type 'typo'"):
+    with pytest.raises(ValidationError) as info:
         BayesianGameSpec(
             ("p1",),
             {"p1": ("a",)},
@@ -147,6 +147,34 @@ def test_prior_types_must_be_declared():
             {("a",): 0.5, ("typo",): 0.5},
             {"p1": {(("x",), ("a",)): 0.0}},
         )
+    assert str(info.value) == "prior.('typo',): undeclared label ('typo',)"
+
+
+@pytest.mark.parametrize("profile, message", [
+    (("x", "typo"), "prior.('x', 'typo'): undeclared label ('x', 'typo')"),
+    (("x",), "prior.('x',): undeclared label ('x',)"),
+    (("x", "z", "z"), "prior.('x', 'z', 'z'): undeclared label ('x', 'z', 'z')"),
+], ids=["undeclared_type", "short_profile", "long_profile"])
+def test_prior_keys_are_declared_type_profiles(profile, message):
+    """The prior is a table over one axis, the type profiles, so a profile
+    of the wrong length is an undeclared label like a profile naming an
+    undeclared type."""
+    players, types, actions = ("p", "q"), {"p": ("x", "y"), "q": ("z",)}, {"p": ("a",), "q": ("c",)}
+    cells = itertools.product([("a", "c")], [("x", "z"), ("y", "z")])
+    utilities = {p: dict.fromkeys(cells, 0.0) for p in players}
+    with pytest.raises(ValidationError) as info:
+        BayesianGameSpec(players, types, actions, {("x", "z"): 0.5, profile: 0.5}, utilities)
+    assert str(info.value) == message
+
+
+def test_prior_is_stored_over_every_type_profile():
+    """A profile the prior leaves out is stored at 0, in type-profile order."""
+    spec = BayesianGameSpec(
+        ("p1",), {"p1": ("a", "b", "c")}, {"p1": ("x",)}, {("c",): 0.25, ("a",): 0.75},
+        {"p1": {(("x",), (t,)): 0.0 for t in "abc"}},
+    )
+    assert spec.prior == {("a",): 0.75, ("b",): 0.0, ("c",): 0.25}
+    assert list(spec.prior) == [("a",), ("b",), ("c",)]
 
 
 def test_utility_table_must_be_total():
@@ -422,7 +450,7 @@ _INSIDER = {"insider": {"diligent": "comply", "negligent": "shortcut"}, "auditor
         ({"insider": _INSIDER["insider"]}, "insider", "diligent", "strategy.auditor: missing"),
         ({**_INSIDER, "boss": {"generic": "comply"}}, "insider", "diligent", "strategy.boss: undeclared label 'boss'"),
         ({**_INSIDER, "auditor": {"generic": "nap"}}, "auditor", "generic",
-         "strategy.auditor.generic: undeclared action 'nap'"),
+         "strategy.auditor.generic: undeclared label 'nap'"),
         (_INSIDER, "boss", "generic", "player: undeclared label 'boss'"),
         (_INSIDER, "insider", "sloppy", "ptype: undeclared label 'sloppy'"),
         ({**_INSIDER, "insider": "comply"}, "insider", "diligent", "strategy.insider: expected a mapping"),

@@ -533,6 +533,11 @@ REJECTED_VALUES = [
      "profiles.workstation behavior.staff: sums to 0.9, expected 1"),
     ("scenario", "id: bob", "id: alice", "scenario entities[1].id: duplicate id 'alice'"),
     ("scenario", "decay_rate: 0.01", "decay_rate: -0.01", "policy decay_rate: must be non-negative, got -0.01"),
+    ("scenario", "trusted: [staff]", "trusted: [staff, 1, x]", "type_space trusted: undeclared label 1"),
+    ("scenario", "true_type: staff", "true_type: ugly", "scenario entities[0].true_type: undeclared label 'ugly'"),
+    ("scenario", "profile: workstation", "profile: nope", "scenario entities[0].profile: undeclared label 'nope'"),
+    ("scenario", "profile: workstation", "profile: [workstation]",
+     "scenario entities[0].profile: undeclared label ['workstation']"),
 ]
 
 
@@ -558,7 +563,8 @@ REJECTED_VALUES = [
          "bayesian-utility-unknown-key", "prior-scalar", "prior-mapping", "payoff-row-undeclared-col",
          "payoff-row-missing-col", "payoff-row-list", "bimatrix-row-undeclared-col",
          "prior-weights-overflow", "prior-weight-subnormal", "behavior-undeclared-action",
-         "behavior-missing-action", "behavior-row-total", "entity-id-repeated", "decay-negative"],
+         "behavior-missing-action", "behavior-row-total", "entity-id-repeated", "decay-negative",
+         "trusted-mixed-types", "true-type-undeclared", "profile-undeclared", "profile-unhashable"],
 )
 def test_rejected_document_value_exit_one(
     scenarios_dir, game_specs_dir, tmp_path, capsys, kind, old, new, where

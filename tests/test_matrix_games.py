@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,29 @@ def test_fictitious_play_input_validation():
         fictitious_play(SADDLE, max_iters=0)
     with pytest.raises(ValidationError):
         fictitious_play(SADDLE, tolerance=0.0)
+
+
+@pytest.mark.parametrize(
+    "call, key, reason",
+    [
+        (lambda: fictitious_play(SADDLE, max_iters=0), "max_iters", "must be an integer >= 1, got 0"),
+        (lambda: fictitious_play(SADDLE, max_iters=2.5), "max_iters", "must be an integer >= 1, got 2.5"),
+        (lambda: fictitious_play(SADDLE, tolerance=0.0), "tolerance", "must be positive, got 0.0"),
+        (lambda: fictitious_play(SADDLE, tolerance=math.nan), "tolerance", "must be a finite number, got nan"),
+        (lambda: alternate_best_response(SADDLE, (2, 0)), "start[0]", "undeclared label 2"),
+        (lambda: alternate_best_response(SADDLE, (0, -1)), "start[1]", "must be an integer >= 0, got -1"),
+        (lambda: alternate_best_response(SADDLE, (0.5, 0)), "start[0]", "must be an integer >= 0, got 0.5"),
+        (lambda: alternate_best_response(SADDLE, (0,)), "start", "expected a (row, column) pair, got (0,)"),
+        (lambda: alternate_best_response(SADDLE, (0, 0), max_iters=2.5), "max_iters",
+         "must be an integer >= 1, got 2.5"),
+    ],
+    ids=["max-iters-zero", "max-iters-float", "tolerance-zero", "tolerance-nan", "start-row-past-end",
+         "start-col-negative", "start-float", "start-short", "abr-max-iters-float"],
+)
+def test_learning_dynamics_name_the_rejected_argument(call, key, reason):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert (info.value.key, info.value.reason) == (key, reason)
 
 
 def test_fictitious_play_bounds_monotone_within_trace():

@@ -388,7 +388,7 @@ def test_unknown_off_path_rule_is_rejected_by_one_check(honeypot_spec, call):
     with pytest.raises(ValidationError) as info:
         call(honeypot_spec)
     assert info.value.key == "off_path_rule"
-    assert info.value.reason == "unknown rule 'optimistic', expected one of ('uniform', 'prior', 'pessimistic')"
+    assert info.value.reason == "undeclared label 'optimistic'"
 
 
 def test_find_pbe_checks_the_budget_before_the_off_path_rule(honeypot_spec):

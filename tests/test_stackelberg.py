@@ -63,8 +63,9 @@ def test_shape_mismatch_rejected():
 
 
 def test_bad_mode_rejected(commitment_game):
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         solve_stackelberg(commitment_game, mode="nash")
+    assert (info.value.key, info.value.reason) == ("mode", "undeclared label 'nash'")
 
 
 def test_determinism(commitment_game):

@@ -15,7 +15,6 @@ from ztsim.trust import (
     attenuate,
     bayes_update,
     compose_prior,
-    sequence_update,
     trust_score,
     uniform_state,
 )
@@ -92,12 +91,12 @@ def test_bayes_update_zero_probability_observation():
 
 
 def test_sequence_update_empty_is_identity(prior_state, behavior, evidence):
-    assert sequence_update(prior_state, [], behavior, evidence) == prior_state
+    assert trust_reference.sequence_update(prior_state, [], behavior, evidence) == prior_state
 
 
 def test_sequence_update_singleton_matches_bayes_update(prior_state, behavior, evidence):
     obs = Observation("attack", "alarm", tick=3)
-    assert sequence_update(prior_state, [obs], behavior, evidence) == bayes_update(
+    assert trust_reference.sequence_update(prior_state, [obs], behavior, evidence) == bayes_update(
         prior_state, obs, behavior, evidence
     )
 
@@ -109,15 +108,16 @@ def test_sequence_update_two_observations_compose(space, prior_state, behavior, 
     t2, m2 = 0.7 * 0.1 * t1, 0.9 * 0.7 * m1
     expected = t2 / (t2 + m2)
     obs = [Observation("benign", "no_alarm", 1), Observation("attack", "alarm", 2)]
-    out = sequence_update(prior_state, obs, behavior, evidence)
+    out = trust_reference.sequence_update(prior_state, obs, behavior, evidence)
     assert trust_score(out, space) == pytest.approx(expected, abs=1e-12)
     assert out.timestamp == 2
 
 
 def test_sequence_update_rejects_decreasing_ticks(prior_state, behavior, evidence):
     obs = [Observation("benign", "no_alarm", 5), Observation("benign", "no_alarm", 2)]
-    with pytest.raises(ValidationError):
-        sequence_update(prior_state, obs, behavior, evidence)
+    with pytest.raises(ValidationError) as info:
+        trust_reference.sequence_update(prior_state, obs, behavior, evidence)
+    assert info.value.key == "obs_list[1].tick"
 
 
 def test_sequence_update_error_carries_index(prior_state):
@@ -127,7 +127,7 @@ def test_sequence_update_error_carries_index(prior_state):
                                       ("b", "T", "e"): 1.0, ("b", "M", "e"): 1.0})
     obs = [Observation("a", "e", 1), Observation("b", "e", 2)]
     with pytest.raises(ZeroProbabilityObservation) as info:
-        sequence_update(prior_state, obs, behavior, evidence)
+        trust_reference.sequence_update(prior_state, obs, behavior, evidence)
     assert info.value.index == 1
 
 
@@ -200,32 +200,50 @@ def test_attenuate_rejects_negative_inputs():
         attenuate(state, 1, -0.5, base)
 
 
+_SURE = TrustState({"T": 1.0, "M": 0.0})
+
+
 @pytest.mark.parametrize(
-    "call, reason",
+    "call, key, reason",
     [
-        (lambda: TrustState({"T": 1.0, "M": 0.0}, timestamp=-1), "timestamp must be non-negative"),
-        (lambda: Observation("benign", "alarm", tick=-1), "observation tick must be non-negative"),
-        (lambda: attenuate(TrustState({"T": 1.0, "M": 0.0}), 1, 0.5, TrustState({"T": 1.0, "X": 0.0})),
-         "state and baseline must share a type space"),
+        (lambda: TrustState({"T": 1.0, "M": 0.0}, timestamp=-1), "timestamp", "must be an integer >= 0, got -1"),
+        (lambda: Observation("benign", "alarm", tick=-1), "tick", "must be an integer >= 0, got -1"),
+        (lambda: attenuate(_SURE, 1, 0.5, TrustState({"T": 1.0, "X": 0.0})),
+         "baseline.X", "undeclared label 'X'"),
+        (lambda: TrustState({"T": 1.0, "M": 0.0}, timestamp=True), "timestamp", "must be an integer >= 0, got True"),
+        (lambda: TrustState({"T": 1.0, "M": 0.0}, timestamp=1.5), "timestamp", "must be an integer >= 0, got 1.5"),
+        (lambda: TrustState({"T": 1.0, "M": 0.0}, timestamp="3"), "timestamp", "must be an integer >= 0, got '3'"),
+        (lambda: Observation("benign", "alarm", tick=None), "tick", "must be an integer >= 0, got None"),
+        (lambda: Observation("benign", "alarm", tick=math.nan), "tick", "must be an integer >= 0, got nan"),
+        (lambda: attenuate(_SURE, math.nan, 0.5, _SURE), "elapsed", "must be a finite number, got nan"),
+        (lambda: attenuate(_SURE, -1, 0.5, _SURE), "elapsed", "must be non-negative, got -1.0"),
+        (lambda: attenuate(_SURE, 1, True, _SURE), "rate", "must be a finite number, got True"),
+        (lambda: attenuate(_SURE, 1, -0.5, _SURE), "rate", "must be non-negative, got -0.5"),
+        (lambda: attenuate(_SURE, 1, 0.0, TrustState({"T": 1.0})), "baseline.M", "missing"),
+        (lambda: trust_score(TrustState({"T": 0.5, "X": 0.5}), TypeSpace(("T", "M"), {"T"})),
+         "state.X", "undeclared label 'X'"),
+        (lambda: TypeSpace(("staff", "apt"), ["staff", 1, "x"]), "trusted", "undeclared label 1"),
     ],
-    ids=["timestamp", "tick", "baseline-types"],
+    ids=["timestamp", "tick", "baseline-types", "timestamp-bool", "timestamp-float", "timestamp-string",
+         "tick-none", "tick-nan", "elapsed-nan", "elapsed-negative", "rate-bool", "rate-negative",
+         "baseline-missing-type", "state-types", "trusted-mixed"],
 )
-def test_negative_times_and_foreign_baselines_rejected(call, reason):
+def test_negative_times_and_foreign_baselines_rejected(call, key, reason):
     with pytest.raises(ValidationError) as info:
         call()
-    assert (info.value.key, info.value.reason) == ("-", reason)
+    assert (info.value.key, info.value.reason) == (key, reason)
 
 
 @pytest.mark.parametrize(
-    "obs, reason",
-    [(Observation("exfil", "alarm"), "unknown action 'exfil'"),
-     (Observation("benign", "siren"), "unknown evidence value 'siren'")],
+    "obs, key, reason",
+    [(Observation("exfil", "alarm"), "obs.action", "undeclared label 'exfil'"),
+     (Observation("benign", "siren"), "obs.evidence", "undeclared label 'siren'")],
     ids=["action", "evidence"],
 )
-def test_bayes_update_rejects_undeclared_observations(prior_state, behavior, evidence, obs, reason):
+def test_bayes_update_rejects_undeclared_observations(prior_state, behavior, evidence, obs, key, reason):
     with pytest.raises(ValidationError) as info:
         bayes_update(prior_state, obs, behavior, evidence)
-    assert (info.value.key, info.value.reason) == ("-", reason)
+    assert (info.value.key, info.value.reason) == (key, reason)
 
 
 def test_model_construction_rejects_bad_rows():
@@ -331,9 +349,9 @@ def test_fold_equivalence(setup, data):
     )
     obs = [Observation(a, e, tick=i) for i, (a, e) in enumerate(obs_pairs)]
     split = data.draw(st.integers(0, len(obs)))
-    whole = sequence_update(state, obs, behavior, evidence)
-    parts = sequence_update(
-        sequence_update(state, obs[:split], behavior, evidence),
+    whole = trust_reference.sequence_update(state, obs, behavior, evidence)
+    parts = trust_reference.sequence_update(
+        trust_reference.sequence_update(state, obs[:split], behavior, evidence),
         obs[split:],
         behavior,
         evidence,

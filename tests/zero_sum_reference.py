@@ -5,7 +5,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ztsim.errors import ValidationError
 from ztsim.games import MatrixGame, MixedStrategy, ZeroSumSolution
 
 
@@ -15,7 +14,7 @@ def support_enumeration(game: MatrixGame, tol=1e-8) -> ZeroSumSolution:
     A = game.matrix
     n_rows, n_cols = A.shape
     if n_rows > 4 or n_cols > 4:
-        raise ValidationError("support enumeration is limited to 4x4 games")
+        raise ValueError("support enumeration is limited to 4x4 games")
     for k in range(1, min(n_rows, n_cols) + 1):
         for I in combinations(range(n_rows), k):
             for J in combinations(range(n_cols), k):
@@ -56,4 +55,4 @@ def support_enumeration(game: MatrixGame, tol=1e-8) -> ZeroSumSolution:
                 return ZeroSumSolution(
                     float(v), MixedStrategy(tuple(x)), MixedStrategy(tuple(y))
                 )
-    raise ValidationError("no equilibrium support found (should be impossible)")
+    raise RuntimeError("no equilibrium support found (should be impossible)")
