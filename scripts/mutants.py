@@ -76,6 +76,23 @@ CATALOG = (
         ("tests/test_pbe_oracle.py::test_blocks_of_seven_pairs_keep_signed_zeros_and_boundary_gains",),
     ),
     Mutant(
+        "receiver ties measured from the row's best",
+        "ztsim/games/signaling.py",
+        "values >= values[np.arange(len(values)), pick, None] - EQ_TOL",
+        "values >= values.max(1, keepdims=True) - EQ_TOL",
+        ("tests/test_pbe_oracle.py::test_replies_tie_within_eq_tol_of_the_picked_reply",),
+    ),
+    Mutant(
+        "zero-prior types' deviations counted",
+        "ztsim/games/signaling.py",
+        "gain = sender[live[:, None],",
+        "live = np.arange(len(sender))\n    gain = sender[live[:, None],",
+        (
+            "tests/test_pbe_oracle.py::test_blocks_of_seven_pairs_match_reference[prior]",
+            "tests/test_pbe_oracle.py::test_zero_prior_sender_does_not_put_a_signal_on_path",
+        ),
+    ),
+    Mutant(
         "pessimistic rule keeps the last tied point belief",
         "ztsim/games/signaling.py",
         "worst_gain < best[0] - EQ_TOL",

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections.abc import Hashable, Mapping
 from dataclasses import dataclass
 
@@ -47,13 +48,24 @@ class SignalingGameSpec:
             object.__setattr__(self, name, values)
 
     @functools.cached_property
+    def _arrays(self):
+        """The prior, the sender utilities [type, signal, action], the
+        receiver utilities [type, action] and the indices of the
+        positive-prior types, the only ones whose deviations count."""
+        types, signals, actions = self.types, self.signals, self.receiver_actions
+        sender = [[[self.sender_utility[(t, s, a)] for a in actions] for s in signals] for t in types]
+        receiver = [[self.receiver_utility[(a, t)] for a in actions] for t in types]
+        live = [i for i, t in enumerate(types) if self.prior[t] > 0]
+        return np.array([self.prior[t] for t in types]), np.array(sender), np.array(receiver), np.array(live, np.intp)
+
+    @functools.cached_property
     def _point_replies(self):
         """(point belief, receiver best response) for each type in order. The
         pessimistic off-path rule compares them at every signal, and they do
         not depend on the signal, so a spec computes them once."""
-        n = len(self.types)
-        points = [tuple(1.0 if j == i else 0.0 for j in range(n)) for i in range(n)]
-        return [(point, receiver_best_response(self, point)[0]) for point in points]
+        points = np.eye(len(self.types))
+        _, pick, _ = _replies(points, self._arrays[2])
+        return [(tuple(point), self.receiver_actions[a]) for point, a in zip(points.tolist(), pick.tolist())]
 
 
 @dataclass(frozen=True)
@@ -144,13 +156,28 @@ def receiver_best_response(spec: SignalingGameSpec, belief):
     receiver utility; first action in declared order wins ties."""
     probs = belief.probs if isinstance(belief, Belief) else tuple(belief)
     distribution(table(dict(enumerate(probs)), (range(len(spec.types)),), "belief"), "belief")
-    values = [
-        left_sum(p * spec.receiver_utility[(a, t)] for p, t in zip(probs, spec.types))
-        for a in spec.receiver_actions
-    ]
-    best = max(values)
-    winners = [i for i, v in enumerate(values) if v >= best - EQ_TOL]
-    return spec.receiver_actions[winners[0]], values[winners[0]], len(winners) > 1
+    values, pick, ok = _replies(np.array([probs], dtype=float), spec._arrays[2])
+    return spec.receiver_actions[pick[0]], values[0, pick[0]].item(), bool(ok.sum() > 1)
+
+
+def _replies(probs, receiver):
+    """The receiver's replies to beliefs `probs` [row, type], with utilities
+    `receiver` [type, action]: the action values [row, action], folded over
+    the types by `left_sum`; the first action within EQ_TOL of the row's
+    best [row]; and the actions within EQ_TOL of that one [row, action]."""
+    values = left_sum((probs[:, :, None] * receiver).swapaxes(0, 1))
+    pick = (values >= values.max(1, keepdims=True) - EQ_TOL).argmax(1)
+    return values, pick, values >= values[np.arange(len(values)), pick, None] - EQ_TOL
+
+
+def _deviates(sender, live, combo, reply):
+    """Whether a positive-prior type gains more than EQ_TOL by switching
+    signal, one bool per row of sender signal indices `combo` [row, type]
+    and receiver action indices `reply` [row, signal], with sender utilities
+    `sender` [type, signal, action] and positive-prior indices `live`."""
+    gain = sender[live[:, None], np.arange(reply.shape[1]), reply[:, None]]  # [row, live type, signal]
+    current = np.take_along_axis(gain, combo[:, live, None], 2)
+    return (gain > current + EQ_TOL).any((1, 2))
 
 
 def _classify(spec, sender_map):
@@ -176,21 +203,17 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     has none. One `np.unique` of a block's keys gives its table of beliefs,
     with the floats of `signal_posterior` (weights indicator * prior, folded
     by `left_sum`) or the signal's `off_path_belief`, and receiver replies
-    within EQ_TOL of the best. Where every signal has one reply, the sender
-    deviation check runs as array comparisons; a profile with a tied signal
-    checks each product of replies in Python. Only equilibrium profiles get
-    a sender map, `Belief`s and a `BeliefSystem`.
+    within EQ_TOL of the first best reply (`_replies`). Every product of a
+    profile's replies is one row of an array, and one sender deviation check
+    (`_deviates`) runs over the block's rows. Only equilibrium profiles get a
+    sender map, `Belief`s and a `BeliefSystem`.
     """
     types, signals, actions = spec.types, spec.signals, spec.receiver_actions
     required = len(signals) ** len(types) * len(actions) ** len(signals)
     if required > budget:
         raise EnumerationBudgetExceeded(required, budget)
     n, m = len(types), len(signals)
-    utility, live = _sender_tables(spec)
-    sender, nested = utility[live], utility.tolist()  # [live type, signal, action]
-    live_ix, j = np.array(live, dtype=np.intp), np.arange(len(live))
-    prior = np.array([spec.prior[t] for t in types])
-    receiver = np.array([spec.receiver_utility[(a, t)] for t in types for a in actions]).reshape(n, -1)
+    prior, sender, receiver, live = spec._arrays
     # Python ints past 62 live types, which only a one-profile game reaches.
     bits = np.array([1 << i for i in range(len(live))], np.int64 if len(live) < 63 else object)
     off = [Belief(off_path_belief(spec, s, off_path_rule), on_path=False) for s in signals]
@@ -201,7 +224,7 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
     results = []
     for lo in range(0, total, rows):
         combo = np.arange(lo, min(lo + rows, total))[:, None] // place % m  # [profile, type]
-        masks = (combo[:, None, live_ix] == sig[:, None]) @ bits  # [profile, signal]
+        masks = (combo[:, None, live] == sig[:, None]) @ bits  # [profile, signal]
         # A pair's belief depends on its sender set or, off path, on its signal.
         keys = np.where(masks != 0, masks, -1 - sig)
         keys, first, row = np.unique(keys, return_index=True, return_inverse=True)
@@ -211,21 +234,20 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
         off_row = keys < 0  # no live sender: normalizer 0, belief from the rule
         probs /= (left_sum(probs.T) + off_row)[:, None]
         probs[off_row] = off_probs[k[off_row]]
-        values = left_sum((probs[:, :, None] * receiver).swapaxes(0, 1))  # [row, action]
-        pick = (values >= values.max(1, keepdims=True) - EQ_TOL).argmax(1)
-        ok = values >= values[np.arange(len(values)), pick, None] - EQ_TOL
-        reply, tied = pick[row], (ok.sum(1) > 1)[row].any(1)
-        gain = sender[j[:, None], sig, reply[:, None]]  # [profile, live type, signal]
-        current = gain[np.arange(len(combo))[:, None], j, combo[:, live_ix], None]
-        for i in (tied | ~(gain > current + EQ_TOL).any((1, 2))).nonzero()[0]:
-            c, here = combo[i].tolist(), row[i].tolist()
-            replies = [reply[i].tolist()]
-            if tied[i]:
-                options = (ok[x].nonzero()[0].tolist() for x in here)
-                replies = [r for r in itertools.product(*options) if not _deviation_exists(nested, live, c, r)]
-                if not replies:
-                    continue
-            sender_map = {t: signals[x] for t, x in zip(types, c)}
+        _, pick, ok = _replies(probs, receiver)
+        # Each profile's receiver strategies, one row each: every product of
+        # its signals' replies in `ok`, in `itertools.product` order. Only a
+        # signal with a tied pair in the block adds rows.
+        owner, replies = np.arange(len(combo)), pick[row]
+        for col in (ok.sum(1) > 1)[row].any(0).nonzero()[0]:
+            j, a = ok[row[owner, col]].nonzero()
+            owner, replies = owner[j], replies[j]
+            replies[:, col] = a
+        keep = ~_deviates(sender, live, combo[owner], replies)
+        pairs = zip(owner[keep].tolist(), replies[keep].tolist())
+        for i, group in itertools.groupby(pairs, operator.itemgetter(0)):
+            here = row[i].tolist()
+            sender_map = {t: signals[x] for t, x in zip(types, combo[i].tolist())}
             sender_strategy = tuple(sender_map.items())
             beliefs = BeliefSystem(
                 tuple(
@@ -234,7 +256,7 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
                 )
             )
             classification = _classify(spec, sender_map)
-            for r in replies:
+            for _, r in group:
                 results.append(
                     PBEResult(
                         sender_strategy=sender_strategy,
@@ -244,28 +266,6 @@ def find_pbe(spec: SignalingGameSpec, off_path_rule="uniform", budget=DEFAULT_BU
                     )
                 )
     return results
-
-
-def _sender_tables(spec):
-    """Sender utilities as an array [type, signal, action], and the indices of
-    the positive-prior types, the only ones whose deviations count."""
-    types, signals, actions = spec.types, spec.signals, spec.receiver_actions
-    utility = np.array([spec.sender_utility[(t, s, a)] for t in types for s in signals for a in actions])
-    shape = (len(types), len(signals), len(actions))
-    return utility.reshape(shape), [i for i, t in enumerate(types) if spec.prior[t] > 0]
-
-
-def _deviation_exists(utility, live, combo, reply):
-    """Whether a positive-prior type gains more than EQ_TOL by switching
-    signal, with sender signal indices `combo` and receiver action indices
-    `reply` per signal."""
-    for t in live:
-        row = utility[t]
-        current = row[combo[t]][reply[combo[t]]]
-        for s, a in enumerate(reply):
-            if row[s][a] > current + EQ_TOL:
-                return True
-    return False
 
 
 def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="uniform") -> bool:
@@ -286,6 +286,7 @@ def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="unifor
     )
     if not declared or result.classification != _classify(spec, sender_map):
         return False
+    posteriors = []
     for s in spec.signals:
         expected = signal_posterior(spec, sender_map, s, off_path_rule)
         got = beliefs[s]
@@ -293,14 +294,9 @@ def verify_pbe(spec: SignalingGameSpec, result: PBEResult, off_path_rule="unifor
             return False
         if any(abs(a - b) > 1e-9 for a, b in zip(expected.probs, got.probs)):
             return False
-        _, best_val, _ = receiver_best_response(spec, expected)
-        val = left_sum(
-            p * spec.receiver_utility[(receiver_map[s], t)]
-            for p, t in zip(expected.probs, spec.types)
-        )
-        if val < best_val - EQ_TOL:
-            return False
-    utility, live = _sender_tables(spec)
-    combo = [signal_index[sender_map[t]] for t in spec.types]
-    reply = [action_index[receiver_map[s]] for s in spec.signals]
-    return not _deviation_exists(utility.tolist(), live, combo, reply)
+        posteriors.append(expected.probs)
+    _, sender, receiver, live = spec._arrays
+    combo = np.array([[signal_index[sender_map[t]] for t in spec.types]])
+    reply = np.array([[action_index[receiver_map[s]] for s in spec.signals]])
+    _, _, ok = _replies(np.array(posteriors), receiver)
+    return bool(ok[np.arange(len(posteriors)), reply[0]].all()) and not _deviates(sender, live, combo, reply)[0]

@@ -178,7 +178,11 @@ def compose_prior(sources) -> float:
         raise NoPriorSources("no sources given", "prior")
     total_w = 0.0
     total = 0.0
-    for j, (score, weight) in enumerate(sources):
+    for j, source in enumerate(sources):
+        try:
+            score, weight = source
+        except (TypeError, ValueError):
+            raise ValidationError(f"expected a (score, weight) pair, got {source!r}", f"prior[{j}]") from None
         score = probability(score, f"prior[{j}].score")
         weight = nonnegative(weight, f"prior[{j}].weight")
         if 0 < weight < sys.float_info.min:

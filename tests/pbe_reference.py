@@ -1,13 +1,14 @@
 """`find_pbe` as it stood before beliefs were cached, kept as a test oracle:
 for every sender profile it recomputes each signal's posterior with
 `signal_posterior`, the receiver's tied best responses, and the sender
-deviation check on per-profile dicts. Action values are folded with
-`left_sum`, as the solver folds them. Also the sender's best signal against
-a fixed receiver strategy, which no solver needs."""
+deviation check on per-profile dicts, the last two as plain loops that
+share no code with the solver. Action values are folded with `left_sum`, as
+the solver folds them. Also the sender's best signal against a fixed
+receiver strategy, which no solver needs."""
 import itertools
 
 from ztsim.errors import EnumerationBudgetExceeded, ValidationError, left_sum
-from ztsim.games import BeliefSystem, PBEResult, receiver_best_response, signal_posterior
+from ztsim.games import BeliefSystem, PBEResult, signal_posterior
 from ztsim.games.signaling import DEFAULT_BUDGET, EQ_TOL, OFF_PATH_RULES, _classify
 
 
@@ -29,19 +30,16 @@ def find_pbe(spec, off_path_rule="uniform", budget=DEFAULT_BUDGET):
                 for s in spec.signals
             )
         )
-        # Receiver best-response values per signal, allowing any tied action.
+        # Receiver action values per signal; the first action within EQ_TOL
+        # of the best is picked, and any action within EQ_TOL of it ties.
         per_signal_ok = {}
         for s in spec.signals:
-            _, best_val, _ = receiver_best_response(spec, beliefs.belief(s))
-            ok = []
-            for a in spec.receiver_actions:
-                val = left_sum(
-                    p * spec.receiver_utility[(a, t)]
-                    for p, t in zip(beliefs.belief(s).probs, spec.types)
-                )
-                if val >= best_val - EQ_TOL:
-                    ok.append(a)
-            per_signal_ok[s] = ok
+            values = [
+                left_sum(p * spec.receiver_utility[(a, t)] for p, t in zip(beliefs.belief(s).probs, spec.types))
+                for a in spec.receiver_actions
+            ]
+            picked = next(v for v in values if v >= max(values) - EQ_TOL)
+            per_signal_ok[s] = [a for a, v in zip(spec.receiver_actions, values) if v >= picked - EQ_TOL]
         for receiver_combo in itertools.product(
             *(per_signal_ok[s] for s in spec.signals)
         ):

@@ -6,12 +6,13 @@ with that loop's sender deviation check."""
 import itertools
 import random
 
+import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import pbe_reference
-from ztsim.errors import ValidationError
+from ztsim.errors import ValidationError, left_sum
 from ztsim.games import (
     BeliefSystem,
     PBEResult,
@@ -87,6 +88,20 @@ def _assert_verify_pbe_matches_reference(spec, rule):
 @pytest.mark.parametrize("rule", OFF_PATH_RULES)
 @settings(deadline=None)
 @given(spec=signaling_games())
+# The two signals' pessimistic off-path beliefs differ, so pairs off path at
+# different signals must not share a belief.
+@example(
+    spec=SignalingGameSpec(
+        types=("t0", "t1"),
+        prior={"t0": 1.0, "t1": 0.0},
+        signals=("s0", "s1"),
+        receiver_actions=("a0", "a1"),
+        sender_utility={
+            k: float(k == ("t1", "s1", "a1")) for k in itertools.product(("t0", "t1"), ("s0", "s1"), ("a0", "a1"))
+        },
+        receiver_utility={("a0", "t0"): 0.0, ("a0", "t1"): 1.0, ("a1", "t0"): 1.0, ("a1", "t1"): 0.0},
+    )
+)
 def test_find_pbe_matches_per_profile_reference(spec, rule):
     expected = pbe_reference.find_pbe(spec, rule)
     got = find_pbe(spec, rule)
@@ -144,11 +159,15 @@ def test_beliefs_off_path_once_per_signal_and_on_path_as_signal_posterior(monkey
 
 def _pessimistic_per_signal(spec, signal):
     """The pessimistic off-path belief with every point belief's best
-    response recomputed at `signal`."""
+    response recomputed at `signal`, by a plain loop over the actions."""
     n, best = len(spec.types), None
     for i in range(n):
         point = tuple(1.0 if j == i else 0.0 for j in range(n))
-        action = receiver_best_response(spec, point)[0]
+        values = [
+            left_sum(p * spec.receiver_utility[(a, t)] for p, t in zip(point, spec.types))
+            for a in spec.receiver_actions
+        ]
+        action = next(a for a, v in zip(spec.receiver_actions, values) if v >= max(values) - signaling.EQ_TOL)
         worst_gain = max(spec.sender_utility[(t, signal, action)] for t in spec.types)
         if best is None or worst_gain < best[0] - signaling.EQ_TOL:
             best = (worst_gain, point)
@@ -160,19 +179,19 @@ def test_pessimistic_rule_computes_point_replies_once_per_spec(monkeypatch):
     specs = [_tie_game(rng, rng.randint(3, 4), rng.randint(2, 3), rng.randint(2, 3)) for _ in range(30)]
     expected = [[_pessimistic_per_signal(spec, s) for s in spec.signals] for spec in specs]
     calls = []
-    best_response = signaling.receiver_best_response
+    replies = signaling._replies
 
-    def counting(spec, belief):
-        calls.append(belief)
-        return best_response(spec, belief)
+    def counting(probs, receiver):
+        calls.append(np.array_equal(probs, np.eye(len(spec.types))))
+        return replies(probs, receiver)
 
-    monkeypatch.setattr(signaling, "receiver_best_response", counting)
+    monkeypatch.setattr(signaling, "_replies", counting)
     for spec, beliefs in zip(specs, expected):
         del calls[:]
         results = find_pbe(spec, "pessimistic")
-        assert len(calls) == len(spec.types)
+        assert sum(calls) == 1  # one call on the identity: the point beliefs
         assert [signaling.off_path_belief(spec, s, "pessimistic") for s in spec.signals] == beliefs
-        assert len(calls) == len(spec.types)
+        assert sum(calls) == 1
         for r in results:
             for s, belief in r.beliefs.by_signal:
                 if not belief.on_path:
@@ -236,6 +255,26 @@ def test_blocks_of_seven_pairs_keep_signed_zeros_and_boundary_gains(monkeypatch)
     pooled = [r for r in results if dict(r.sender_strategy) == {"ghost": "s1", "real": "s0", "bot": "s0"}]
     assert len(pooled) == 1
     assert _bits(pooled[0].beliefs.belief("s0").probs) == _bits((-0.0, 0.5, 0.5))
+
+
+def test_replies_tie_within_eq_tol_of_the_picked_reply():
+    """The receiver picks the first action within EQ_TOL of the best, and an
+    action within EQ_TOL of that pick ties with it, though it lies more than
+    EQ_TOL below the best."""
+    tol, actions = signaling.EQ_TOL, ("a0", "a1", "a2")
+    spec = SignalingGameSpec(
+        types=("t",),
+        prior={"t": 1.0},
+        signals=("s",),
+        receiver_actions=actions,
+        sender_utility={("t", "s", a): 0.0 for a in actions},
+        receiver_utility={("a0", "t"): 1.0, ("a1", "t"): 1.0 + 0.6 * tol, ("a2", "t"): 1.0 - 0.6 * tol},
+    )
+    assert receiver_best_response(spec, (1.0,)) == ("a0", 1.0, True)
+    results = find_pbe(spec)
+    _assert_same_results(results, pbe_reference.find_pbe(spec))
+    assert [r.receiver_action("s") for r in results] == list(actions)
+    assert all(verify_pbe(spec, r) for r in results)
 
 
 def test_one_block_and_many_blocks_agree(monkeypatch):

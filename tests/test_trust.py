@@ -149,6 +149,21 @@ def test_compose_prior_errors():
         compose_prior([(1.5, 1.0)])
 
 
+@pytest.mark.parametrize(
+    "sources, key, reason",
+    [
+        ([(0.5,)], "prior[0]", "expected a (score, weight) pair, got (0.5,)"),
+        ([0.5], "prior[0]", "expected a (score, weight) pair, got 0.5"),
+        ([(0.7, 1.0), (0.5, 1.0, 2.0)], "prior[1]", "expected a (score, weight) pair, got (0.5, 1.0, 2.0)"),
+        ([None], "prior[0]", "expected a (score, weight) pair, got None"),
+    ],
+)
+def test_compose_prior_rejects_a_source_that_is_not_a_pair(sources, key, reason):
+    with pytest.raises(ValidationError) as info:
+        compose_prior(sources)
+    assert (info.value.key, info.value.reason) == (key, reason)
+
+
 @pytest.mark.parametrize("sources", [[(0.5, 1e308), (0.5, 1e308)], [(0.7, 1.7e308), (0.8, 0.9e308)]])
 def test_compose_prior_rejects_weights_summing_past_the_largest_float(sources):
     """The weight total is inf, so the mean would read 0.0 whatever the scores."""
