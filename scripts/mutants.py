@@ -128,7 +128,32 @@ CATALOG = (
         (
             "tests/test_simplex_oracle.py::test_beale_lps_reach_their_optima[scaled]",
             "tests/test_simplex_oracle.py::test_beale_lps_reach_their_optima[1955]",
+            "tests/test_simplex_oracle.py::test_random_lps_match_loop_oracle",
         ),
+    ),
+    Mutant(
+        "interim entries summed in reverse belief order",
+        "ztsim/games/bayesian.py",
+        "entries.append((v / marg, utilities, others))",
+        "entries.insert(0, (v / marg, utilities, others))",
+        ("tests/test_bayesian_games.py::test_find_bne_breaks_exact_ties_in_belief_order",),
+    ),
+    Mutant(
+        "zero-marginal types of the last player keep only the first action",
+        "ztsim/games/bayesian.py",
+        "every_action = range(len(spec.actions[spec.players[last]]))",
+        "every_action = range(1)",
+        (
+            "tests/test_bayesian_games.py::test_zero_marginal_type_of_the_last_player_keeps_every_action[eq_tol]",
+            "tests/test_bayesian_games.py::test_zero_marginal_type_of_the_last_player_keeps_every_action[zero_tol]",
+        ),
+    ),
+    Mutant(
+        "Bayesian deviation of exactly EQ_TOL counted",
+        "ztsim/games/bayesian.py",
+        "not top > v + EQ_TOL",
+        "not top >= v + EQ_TOL",
+        ("tests/test_bayesian_games.py::test_a_gain_of_exactly_eq_tol_is_no_gain",),
     ),
     Mutant(
         "score text deduplicated by value",

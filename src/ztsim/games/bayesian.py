@@ -3,6 +3,7 @@ Bayesian Nash equilibrium enumeration.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,20 +53,38 @@ class BayesianGameSpec:
         i = self.players.index(player)
         return left_sum(v for k, v in self.prior.items() if k[i] == ptype)
 
-    def conditional(self, player, ptype):
-        """Belief over the other players' type profiles given own type."""
-        i = self.players.index(player)
-        marg = self.marginal(player, ptype)
-        if marg <= 0:
-            raise UnreachableType(
-                f"type {ptype!r} of player {player!r} has zero marginal probability"
-            )
-        out = {}
-        for k, v in self.prior.items():
-            if k[i] == ptype and v > 0:
-                rest = tuple(t for j, t in enumerate(k) if j != i)
-                out[rest] = out.get(rest, 0.0) + v / marg
-        return out
+    @functools.cached_property
+    def _checks(self):
+        """One deviation check per (player, positive-marginal type):
+        ``(player index, type index, action stride, action count, entries)``.
+
+        `entries` lists ``(prob, utilities, others)`` for each type profile of
+        positive prior that holds the type, in prior order, `prob` being its
+        prior over the type's marginal. `utilities` holds the player's payoff
+        at that type profile for every action profile, in `action_profiles()`
+        order; `others` gives each opponent's ``(player index, type index,
+        stride)`` there, so an action profile's position is a sum of action
+        index times stride.
+        """
+        players = self.players
+        n_actions = [len(self.actions[p]) for p in players]
+        strides = [math.prod(n_actions[i + 1 :]) for i in range(len(players))]
+        type_index = [{t: k for k, t in enumerate(self.types[p])} for p in players]
+        aprofs = list(self.action_profiles())
+        checks = []
+        for i, p in enumerate(players):
+            for t in self.types[p]:
+                marg = self.marginal(p, t)
+                if marg <= 0:
+                    continue
+                entries = []
+                for tprof, v in self.prior.items():
+                    if tprof[i] == t and v > 0:
+                        utilities = [self.utilities[p][(aprof, tprof)] for aprof in aprofs]
+                        others = tuple((j, type_index[j][tj], strides[j]) for j, tj in enumerate(tprof) if j != i)
+                        entries.append((v / marg, utilities, others))
+                checks.append((i, type_index[i][t], strides[i], n_actions[i], entries))
+        return checks
 
 
 @dataclass(frozen=True)
@@ -89,8 +108,8 @@ class BayesianStrategy:
 
 def bayes_expected_utility(spec: BayesianGameSpec, strategy, player, ptype) -> float:
     """Interim expected utility of `player` with type `ptype` under a pure
-    strategy profile, averaging over opponents' types with the conditional
-    belief derived from the joint prior. `strategy` is a `table` over the
+    strategy profile, averaging over opponents' types with the belief the
+    joint prior gives that type. `strategy` is a `table` over the
     players of `table`s over their types; every label must be declared."""
     if isinstance(strategy, BayesianStrategy):
         strategy = strategy.as_dict()
@@ -99,16 +118,12 @@ def bayes_expected_utility(spec: BayesianGameSpec, strategy, player, ptype) -> f
             label(a, spec.actions[p], f"strategy.{p}.{t}")
     label(player, spec.players, "player")
     label(ptype, spec.types[player], "ptype")
-    i = spec.players.index(player)
-    belief = spec.conditional(player, ptype)
-    total = 0.0
-    for rest, prob in belief.items():
-        tprof = list(rest)
-        tprof.insert(i, ptype)
-        tprof = tuple(tprof)
-        aprof = tuple(strategy[p][tprof[j]] for j, p in enumerate(spec.players))
-        total += prob * spec.utilities[player][(aprof, tprof)]
-    return total
+    i, k = spec.players.index(player), spec.types[player].index(ptype)
+    check = next((c for c in spec._checks if c[:2] == (i, k)), None)
+    if check is None:
+        raise UnreachableType(f"type {ptype!r} of player {player!r} has zero marginal probability")
+    combo = tuple(tuple(spec.actions[p].index(strategy[p][t]) for t in spec.types[p]) for p in spec.players)
+    return _values(check, combo)[combo[i][k]]
 
 
 def strategy_space_size(spec: BayesianGameSpec) -> int:
@@ -137,7 +152,7 @@ def find_bne(spec: BayesianGameSpec, budget=DEFAULT_BUDGET):
         for p in spec.players[:-1]
     ]
     last = len(spec.players) - 1
-    checks = _interim_tables(spec)
+    checks = spec._checks
     head_checks = [c for c in checks if c[0] != last]
     by_type = {c[1]: c for c in checks if c[0] == last}
     last_checks = [by_type.get(k) for k in range(len(spec.types[spec.players[last]]))]
@@ -160,45 +175,10 @@ def find_bne(spec: BayesianGameSpec, budget=DEFAULT_BUDGET):
     return results
 
 
-def _interim_tables(spec):
-    """One deviation check per (player, positive-marginal type):
-    ``(player index, type index, action stride, action count, entries)``.
-
-    `entries` lists ``(prob, utilities, others)`` in the order in which
-    `bayes_expected_utility` visits the conditional belief. `utilities` holds
-    the player's payoff at that type profile for every action profile, in
-    `action_profiles()` order; `others` gives each opponent's ``(player index,
-    type index, stride)`` there, so an action profile's position is a sum of
-    action index times stride. Summing ``prob * utility`` over the entries in
-    this order repeats `bayes_expected_utility` float for float.
-    """
-    players = spec.players
-    n_actions = [len(spec.actions[p]) for p in players]
-    strides = [math.prod(n_actions[i + 1 :]) for i in range(len(players))]
-    type_index = [{t: k for k, t in enumerate(spec.types[p])} for p in players]
-    aprofs = list(spec.action_profiles())
-    checks = []
-    for i, p in enumerate(players):
-        for t in spec.types[p]:
-            if spec.marginal(p, t) <= 0:
-                continue
-            entries = []
-            for rest, prob in spec.conditional(p, t).items():
-                tprof = rest[:i] + (t,) + rest[i:]
-                utilities = [spec.utilities[p][(aprof, tprof)] for aprof in aprofs]
-                others = tuple(
-                    (j, type_index[j][tprof[j]], strides[j])
-                    for j in range(len(players))
-                    if j != i
-                )
-                entries.append((prob, utilities, others))
-            checks.append((i, type_index[i][t], strides[i], n_actions[i], entries))
-    return checks
-
-
-def _best_responses(check, combo):
-    """Action indices of the checked type that no switch beats by more than
-    EQ_TOL, the opponents' strategies read from `combo`."""
+def _values(check, combo):
+    """The checked type's interim value of each of its actions, the
+    opponents' strategies read from `combo`: ``prob * utility`` summed from
+    0.0 over the check's entries in order."""
     _, _, stride, n_alt, entries = check
     values = [0.0] * n_alt
     for prob, utilities, others in entries:
@@ -207,15 +187,15 @@ def _best_responses(check, combo):
             pos += combo[j][tj] * sj
         for a in range(n_alt):
             values[a] += prob * utilities[pos + a * stride]
-    best = []
-    for a in range(n_alt):
-        bar = values[a] + EQ_TOL
-        for v in values:
-            if v > bar:
-                break
-        else:
-            best.append(a)
-    return best
+    return values
+
+
+def _best_responses(check, combo):
+    """Action indices of the checked type that no switch beats by more than
+    EQ_TOL, the opponents' strategies read from `combo`."""
+    values = _values(check, combo)
+    top = max(values)
+    return [a for a, v in enumerate(values) if not top > v + EQ_TOL]
 
 
 def _is_bne(checks, combo):

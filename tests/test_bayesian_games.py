@@ -224,10 +224,22 @@ def test_find_bne_deterministic():
     assert find_bne(spec) == find_bne(spec)
 
 
+def interim_sum(spec, strategy, player, ptype):
+    """`player`'s interim value at type `ptype` under the pure `strategy`:
+    ``v / marginal * u`` summed from 0.0 over the prior in order, at each
+    positive profile that holds the type."""
+    i, marginal, total = spec.players.index(player), spec.marginal(player, ptype), 0.0
+    for tprof, v in spec.prior.items():
+        if tprof[i] == ptype and v > 0:
+            aprof = tuple(strategy[p][t] for p, t in zip(spec.players, tprof))
+            total += v / marginal * spec.utilities[player][(aprof, tprof)]
+    return total
+
+
 def deviation_find_bne(spec):
-    """`find_bne` as a loop of `bayes_expected_utility` calls over deep-copied
-    deviation profiles: the formulation the interim tables must reproduce,
-    equilibrium for equilibrium and in the same order."""
+    """`find_bne` as a loop of `interim_sum` calls over deep-copied deviation
+    profiles: the formulation the compiled checks must reproduce, equilibrium
+    for equilibrium and in the same order."""
     per_player = []
     for p in spec.players:
         ts = spec.types[p]
@@ -241,13 +253,13 @@ def deviation_find_bne(spec):
     def is_bne(strategy):
         for p in spec.players:
             for t in live_types[p]:
-                base = bayes_expected_utility(spec, strategy, p, t)
+                base = interim_sum(spec, strategy, p, t)
                 for alt in spec.actions[p]:
                     if alt == strategy[p][t]:
                         continue
                     trial = {q: dict(m) for q, m in strategy.items()}
                     trial[p][t] = alt
-                    if bayes_expected_utility(spec, trial, p, t) > base + bayesian.EQ_TOL:
+                    if interim_sum(spec, trial, p, t) > base + bayesian.EQ_TOL:
                         return False
         return True
 
@@ -298,6 +310,19 @@ zero_and_eq_tol = pytest.mark.parametrize(
 def test_find_bne_matches_deviation_loop(tol, spec):
     with mock.patch.object(bayesian, "EQ_TOL", tol):
         assert find_bne(spec) == deviation_find_bne(spec)
+
+
+@settings(max_examples=max(150, settings.default.max_examples), deadline=None)
+@given(spec=correlated_bayesian_games(), data=st.data())
+def test_expected_utility_is_the_plain_interim_sum(spec, data):
+    """`bayes_expected_utility` reads the compiled checks `find_bne` reads,
+    and must give the plain sum's float at every positive-marginal type."""
+    strategy = {p: {t: data.draw(st.sampled_from(spec.actions[p])) for t in spec.types[p]} for p in spec.players}
+    for p in spec.players:
+        for t in spec.types[p]:
+            if spec.marginal(p, t) > 0:
+                got = bayes_expected_utility(spec, strategy, p, t)
+                assert got.hex() == interim_sum(spec, strategy, p, t).hex()
 
 
 def test_find_bne_breaks_exact_ties_in_belief_order():
@@ -390,6 +415,16 @@ def test_one_player_game(tol):
         got = find_bne(spec)
         assert got == deviation_find_bne(spec)
     assert [eq.as_dict()["p0"] for eq in got] == [{"x": "A", "y": "B"}, {"x": "C", "y": "B"}]
+
+
+def test_a_gain_of_exactly_eq_tol_is_no_gain():
+    """At type x, B beats A by exactly EQ_TOL, which is not more than EQ_TOL,
+    so A stays a best response there."""
+    table = {"x": {"A": 0.0, "B": bayesian.EQ_TOL}, "y": {"A": 0.0, "B": 1.0}}
+    spec = table_game((("x", "y"),), (("A", "B"),), lambda i, a, t: table[t[0]][a[0]])
+    got = find_bne(spec)
+    assert got == deviation_find_bne(spec)
+    assert [eq.as_dict()["p0"] for eq in got] == [{"x": "A", "y": "B"}, {"x": "B", "y": "B"}]
 
 
 @zero_and_eq_tol
